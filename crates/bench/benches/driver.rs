@@ -1,6 +1,6 @@
 //! Benchmarks of the scenario-parallel driver and the hot-path kernels it
 //! leans on: the event-queue `pop_due` fast path, the memoized device-model
-//! prediction, the staged buffer-cache probe, the bus-slowdown lookup
+//! prediction, the staged buffer-cache probe and eviction, the bus-slowdown lookup
 //! table, O(1) report building, one full mix scenario, and grid throughput
 //! at 1 vs all workers.
 //!
@@ -207,6 +207,35 @@ fn bench_cache_probe(c: &mut Criterion) {
                 }
             }
             black_box(hits)
+        })
+    });
+    // The eviction-heavy side: node_mix's 4,096-block LRFU at λ = 0.05
+    // under random probes over a 20,480-block working set, so about four
+    // probes in five miss and evict the heap root. Each iteration takes
+    // the next 1,024 probes of a 64 Ki-probe ring (sixteen cache
+    // capacities), so replays of the ring stay a random stream rather
+    // than settling into a resident set.
+    c.bench_function("driver/cache_miss_evict_4k", |b| {
+        const CAPACITY: usize = 4096;
+        const RING: usize = 1 << 16;
+        const STEP: usize = 1024;
+        let mut rng = SimRng::new(5);
+        let probes: Vec<(u64, bool)> = (0..RING)
+            .map(|_| (rng.below(20_480), rng.below(4) == 0))
+            .collect();
+        let mut cache = BypassCache::new(LrfuCache::new(CAPACITY, 0.05));
+        for &(blk, write) in &probes {
+            cache.access_classified(blk, write, AccessClass::Normal);
+        }
+        let mut cursor = 0;
+        b.iter(|| {
+            let mut evictions = 0u64;
+            for &(blk, write) in &probes[cursor..cursor + STEP] {
+                let out = cache.access_classified(blk, write, AccessClass::Normal);
+                evictions += out.evicted.is_some() as u64;
+            }
+            cursor = (cursor + STEP) % RING;
+            black_box(evictions)
         })
     });
     // The sweep side of Fig. 15: migration-class probes take the bypass

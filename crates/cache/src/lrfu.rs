@@ -9,18 +9,66 @@
 //!
 //! Ordering trick: comparing CRFs "now" is equivalent to comparing
 //! `log2(crf) + λ · t_last`, which is constant between updates — so victims
-//! can be indexed in a `BTreeMap` without global decay sweeps.
+//! can be kept in a priority queue without global decay sweeps.
+//!
+//! Layout: entries live in a slab (`Vec<Entry>` plus a free list of
+//! vacated slots); a block → slot map finds them; and an implicit binary
+//! min-heap of slots, each entry storing its own heap position, orders
+//! them by `(rank bits, block)`. The block breaks rank ties, so the key is
+//! a total order over resident blocks and the heap root is exactly the
+//! victim a sorted index would yield first. A touch is one map probe and
+//! one O(log n) sift in place; an eviction pops the root and hands its
+//! slot straight to the incoming block.
 
 use crate::{BufferCache, CacheOutcome};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Multiplicative (Fibonacci) hasher for block numbers.
+///
+/// Block numbers are physical blocks the simulator generates itself, never
+/// outside input, so no one can craft keys that collide; SipHash's
+/// flooding resistance buys nothing here and costs a large share of every
+/// probe. The final rotation moves the well-mixed high product bits into
+/// the low bits the table indexes by.
+#[derive(Debug, Default, Clone, Copy)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+type BlockMap = HashMap<u64, u32, BuildHasherDefault<BlockHasher>>;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
+    block: u64,
     crf: f64,
     last: u64,
-    /// Ordered index key (bits of the f64 rank, see `rank_bits`).
+    /// Heap key (bits of the f64 rank, see `rank_bits`).
     key: u64,
+    /// Index of this slot in `heap`.
+    pos: u32,
     dirty: bool,
+}
+
+impl Entry {
+    /// The heap order: rank first, block id breaks ties.
+    fn order(&self) -> (u64, u64) {
+        (self.key, self.block)
+    }
 }
 
 /// LRFU buffer cache.
@@ -38,9 +86,13 @@ pub struct LrfuCache {
     capacity: usize,
     lambda: f64,
     clock: u64,
-    entries: HashMap<u64, Entry>,
-    /// (rank bits, block) → (); first element is the eviction victim.
-    order: BTreeMap<(u64, u64), ()>,
+    /// Slab of entries; slots listed in `free` are vacant.
+    slots: Vec<Entry>,
+    free: Vec<u32>,
+    /// Resident block → its slot.
+    index: BlockMap,
+    /// Min-heap of slots by `Entry::order`; the root is the eviction victim.
+    heap: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -64,18 +116,25 @@ impl LrfuCache {
     ///
     /// # Panics
     ///
-    /// Panics if `lambda` is negative or non-finite.
+    /// Panics if `lambda` is negative or non-finite, or if `capacity`
+    /// exceeds `u32::MAX` blocks (slots are 32-bit).
     pub fn new(capacity: usize, lambda: f64) -> Self {
         assert!(
             lambda >= 0.0 && lambda.is_finite(),
             "lambda must be a non-negative finite number"
         );
+        assert!(
+            u32::try_from(capacity).is_ok(),
+            "capacity must fit in 32-bit slot indices"
+        );
         LrfuCache {
             capacity,
             lambda,
             clock: 0,
-            entries: HashMap::with_capacity(capacity),
-            order: BTreeMap::new(),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
+            index: BlockMap::with_capacity_and_hasher(capacity, Default::default()),
+            heap: Vec::with_capacity(capacity),
             hits: 0,
             misses: 0,
         }
@@ -86,36 +145,118 @@ impl LrfuCache {
         self.lambda
     }
 
-    fn touch(&mut self, block: u64, write: bool) -> bool {
-        let Some(entry) = self.entries.get_mut(&block) else {
-            return false;
-        };
-        self.order.remove(&(entry.key, block));
-        let elapsed = (self.clock - entry.last) as f64;
-        entry.crf = 1.0 + entry.crf * 2f64.powf(-self.lambda * elapsed);
-        entry.last = self.clock;
-        entry.key = rank_bits(entry.crf, entry.last, self.lambda);
+    fn order_at(&self, pos: usize) -> (u64, u64) {
+        self.slots[self.heap[pos] as usize].order()
+    }
+
+    /// Writes `slot` at heap position `pos` and records the position.
+    fn place(&mut self, pos: usize, slot: u32) {
+        self.heap[pos] = slot;
+        self.slots[slot as usize].pos = pos as u32;
+    }
+
+    /// Restores the heap property for the slot at `pos` after its key
+    /// changed in either direction.
+    fn sift(&mut self, mut pos: usize) {
+        let slot = self.heap[pos];
+        let key = self.slots[slot as usize].order();
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if self.order_at(parent) <= key {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
+        }
+        let len = self.heap.len();
+        loop {
+            let left = 2 * pos + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.order_at(right) < self.order_at(left) {
+                right
+            } else {
+                left
+            };
+            if key <= self.order_at(child) {
+                break;
+            }
+            self.place(pos, self.heap[child]);
+            pos = child;
+        }
+        self.place(pos, slot);
+    }
+
+    /// Unlinks the heap entry at `pos` and frees its slot; the caller
+    /// drops the block from `index`.
+    fn remove_at(&mut self, pos: usize) -> Entry {
+        let slot = self.heap.swap_remove(pos);
+        if pos < self.heap.len() {
+            // The former last slot now sits at `pos`; `sift` re-places it.
+            self.sift(pos);
+        }
+        self.free.push(slot);
+        self.slots[slot as usize]
+    }
+
+    fn touch(&mut self, slot: u32, write: bool) {
+        let lambda = self.lambda;
+        let clock = self.clock;
+        let entry = &mut self.slots[slot as usize];
+        let elapsed = (clock - entry.last) as f64;
+        entry.crf = 1.0 + entry.crf * 2f64.powf(-lambda * elapsed);
+        entry.last = clock;
+        entry.key = rank_bits(entry.crf, entry.last, lambda);
         entry.dirty |= write;
-        self.order.insert((entry.key, block), ());
-        true
+        let pos = entry.pos as usize;
+        self.sift(pos);
     }
 
     fn evict(&mut self) -> Option<(u64, bool)> {
-        let (&(key, block), _) = self.order.iter().next()?;
-        self.order.remove(&(key, block));
-        // Invariant: entries and order always index the same set. Guarded
+        if self.heap.is_empty() {
+            return None;
+        }
+        let victim = self.remove_at(0);
+        // Invariant: index and heap always hold the same set. Guarded
         // rather than unwrapped so a bookkeeping bug degrades instead of
         // panicking on the request path.
-        let entry = self.entries.remove(&block);
-        debug_assert!(entry.is_some(), "order entry must have a backing entry");
-        Some((block, entry.is_some_and(|e| e.dirty)))
+        let slot = self.index.remove(&victim.block);
+        debug_assert!(slot.is_some(), "heap entry must have an index entry");
+        Some((victim.block, victim.dirty))
+    }
+
+    fn insert(&mut self, block: u64, write: bool) {
+        let entry = Entry {
+            block,
+            crf: 1.0,
+            last: self.clock,
+            key: rank_bits(1.0, self.clock, self.lambda),
+            pos: self.heap.len() as u32,
+            dirty: write,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.heap.push(slot);
+        self.sift(self.heap.len() - 1);
+        self.index.insert(block, slot);
     }
 }
 
 impl BufferCache for LrfuCache {
     fn access(&mut self, block: u64, write: bool) -> CacheOutcome {
         self.clock += 1;
-        if self.touch(block, write) {
+        if let Some(&slot) = self.index.get(&block) {
+            self.touch(slot, write);
             self.hits += 1;
             return CacheOutcome::hit();
         }
@@ -124,30 +265,23 @@ impl BufferCache for LrfuCache {
             // Never admits: the disabled configuration is a pure pass-through.
             return CacheOutcome::miss(None);
         }
-        let evicted = if self.entries.len() >= self.capacity {
+        let evicted = if self.index.len() >= self.capacity {
             self.evict()
         } else {
             None
         };
-        let entry = Entry {
-            crf: 1.0,
-            last: self.clock,
-            key: rank_bits(1.0, self.clock, self.lambda),
-            dirty: write,
-        };
-        self.order.insert((entry.key, block), ());
-        self.entries.insert(block, entry);
+        self.insert(block, write);
         CacheOutcome::miss(evicted)
     }
 
     fn invalidate(&mut self, block: u64) -> Option<bool> {
-        let entry = self.entries.remove(&block)?;
-        self.order.remove(&(entry.key, block));
-        Some(entry.dirty)
+        let slot = self.index.remove(&block)?;
+        let pos = self.slots[slot as usize].pos as usize;
+        Some(self.remove_at(pos).dirty)
     }
 
     fn contains(&self, block: u64) -> bool {
-        self.entries.contains_key(&block)
+        self.index.contains_key(&block)
     }
 
     fn capacity(&self) -> usize {
@@ -155,7 +289,7 @@ impl BufferCache for LrfuCache {
     }
 
     fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     fn hits(&self) -> u64 {

@@ -269,7 +269,7 @@ impl NodeSim {
 
     /// Folds one access summary into the observability taps and charges
     /// dirty-victim write-backs through the fault-gated device path.
-    fn stage_settle(&mut self, ds: usize, node: usize, s: &AccessSummary, at: SimTime) {
+    fn stage_settle(&mut self, ds: usize, node: usize, s: AccessSummary, at: SimTime) {
         if self.metrics.is_some() {
             self.with_metrics(ds, |m, dev, node| {
                 if s.hits > 0 {
@@ -299,7 +299,7 @@ impl NodeSim {
                 dirty,
             });
         }
-        for victim in s.dirty_victims.clone() {
+        for victim in s.dirty_victims {
             self.cache_write_back(ds, node, victim, at);
         }
     }
@@ -388,7 +388,7 @@ impl NodeSim {
                     block: io.block,
                 });
             }
-            self.stage_settle(ds, node, &s, arrival);
+            self.stage_settle(ds, node, s, arrival);
             let served = arrival + hit_latency;
             let done = if node != home_node {
                 self.net_transfer(node, home_node, io.size_blocks as u64 * 4096, served)
@@ -419,7 +419,7 @@ impl NodeSim {
                 evicted,
             });
         }
-        self.stage_settle(ds, node, &s, completion.done);
+        self.stage_settle(ds, node, s, completion.done);
         Ok(completion)
     }
 
@@ -453,7 +453,7 @@ impl NodeSim {
                 false,
                 AccessClass::Normal,
             );
-            self.stage_settle(ds, node, &s, completion.done);
+            self.stage_settle(ds, node, s, completion.done);
             return Ok(completion);
         }
         // Absorbed write: dirty admission at the stage, completing at hit
@@ -479,7 +479,7 @@ impl NodeSim {
                 evicted,
             });
         }
-        self.stage_settle(ds, node, &s, done);
+        self.stage_settle(ds, node, s, done);
         Ok(IoCompletion::finished(arrival, done))
     }
 
@@ -540,7 +540,7 @@ impl NodeSim {
                     evicted,
                 });
             }
-            self.stage_settle(ds, node, &s, at);
+            self.stage_settle(ds, node, s, at);
             hit.then(|| at + hit_latency)
         }
     }
