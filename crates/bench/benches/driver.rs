@@ -356,8 +356,9 @@ fn bench_shard_scan(c: &mut Criterion) {
     // The serving-plane placement kernel at datacenter scale: a warm
     // 1,000-node fleet (3,000 datastores) with load spread across it, one
     // arriving VMDK to place. The sharded engine scans its home shard
-    // (5 nodes = 15 stores) plus the O(#shards) summary table; the flat
-    // manager scans all 3,000 stores with the O(slice²) Eq. 4 preview.
+    // (5 nodes = 15 stores); the 50-node engine scans fleet_churn's
+    // 150-store home shard, where the O(shard²) float adds of the Eq. 4
+    // averages show; the flat manager scans all 3,000 stores.
     let mut cfg = ServingConfig::small(1000);
     cfg.train_requests = 20;
     let mut sim = ServingSim::new(cfg);
@@ -390,6 +391,11 @@ fn bench_shard_scan(c: &mut Criterion) {
         5,
     );
     sharded.set_network(net);
+    let mut shard50 = ShardedPolicyEngine::new(
+        Manager::new(PolicyKind::Pesto, 1.0, pretrain_models(20, 11)),
+        50,
+    );
+    shard50.set_network(net);
     let mut flat = Manager::new(PolicyKind::Pesto, 1.0, pretrain_models(20, 11));
     flat.set_network(net);
 
@@ -415,6 +421,9 @@ fn bench_shard_scan(c: &mut Criterion) {
     });
     c.bench_function("driver/placement_scan_1k_sharded", |b| {
         b.iter(|| black_box(sharded.initial_placement_from(obs, &arrival, Some(500))))
+    });
+    c.bench_function("driver/placement_scan_1k_shard50", |b| {
+        b.iter(|| black_box(shard50.initial_placement_from(obs, &arrival, Some(500))))
     });
     // Baseline: the O(cluster) scan sharding replaces.
     c.bench_function("driver/placement_scan_1k_flat", |b| {

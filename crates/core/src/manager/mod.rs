@@ -301,19 +301,27 @@ impl Manager {
         if self.policy.uses_prediction() && obs.kind == DeviceKind::Nvdimm {
             // PP_d = mean over resident workloads of PP_w (Eq. 5, NVDIMM
             // branch).
-            let loaded: Vec<&ResidentInfo> =
-                obs.residents.iter().filter(|r| r.io_count > 0).collect();
-            if loaded.is_empty() {
-                return 0.0;
-            }
-            loaded
-                .iter()
-                .map(|r| self.source.predict(DeviceKind::Nvdimm, &r.features))
-                .sum::<f64>()
-                / loaded.len() as f64
+            self.mean_prediction(obs.residents.iter().filter(|r| r.io_count > 0), obs.kind)
         } else {
             obs.epoch.mean_latency_us()
         }
+    }
+
+    /// Mean model prediction over `residents` on a `kind` device; 0 when
+    /// there are none.
+    fn mean_prediction<'a>(
+        &self,
+        residents: impl Iterator<Item = &'a ResidentInfo> + Clone,
+        kind: DeviceKind,
+    ) -> f64 {
+        let n = residents.clone().count();
+        if n == 0 {
+            return 0.0;
+        }
+        residents
+            .map(|r| self.source.predict(kind, &r.features))
+            .sum::<f64>()
+            / n as f64
     }
 
     /// Estimated per-unit latency of `obs`'s device if workload `w` were
@@ -332,24 +340,16 @@ impl Manager {
             f.free_space_ratio = obs.free_space;
             return self.source.predict(obs.kind, &f);
         }
-        let current = self.device_perf_us(obs);
         if self.policy.uses_prediction() && obs.kind == DeviceKind::Nvdimm {
             // Removing it from an NVDIMM: remaining residents' prediction
             // (Eq. 5 applies the model to NVDIMMs only).
-            let rest: Vec<&ResidentInfo> = obs
+            let rest = obs
                 .residents
                 .iter()
-                .filter(|r| r.vmdk != w.vmdk && r.io_count > 0)
-                .collect();
-            if rest.is_empty() {
-                0.0
-            } else {
-                rest.iter()
-                    .map(|r| self.source.predict(obs.kind, &r.features))
-                    .sum::<f64>()
-                    / rest.len() as f64
-            }
+                .filter(|r| r.vmdk != w.vmdk && r.io_count > 0);
+            self.mean_prediction(rest, obs.kind)
         } else {
+            let current = self.device_perf_us(obs);
             // The baselines attribute the device's measured latency to its
             // I/O load: removing a workload is expected to shave its share
             // off. This is exactly the misattribution the paper describes —
@@ -465,6 +465,10 @@ impl Manager {
                     .total_cmp(&(a.io_count as f64 * a.mean_latency_us))
             })
         });
+        // Source-side Eq. 6/7 terms do not depend on the candidate.
+        let src_before = self.device_perf_us(src_obs);
+        let src_contention_us = self.contention_us(src_obs);
+        let src_read_us = per_block_read_us(src_obs, self.source.base());
         for w in candidates {
             // Destination: the device whose predicted latency after receiving
             // the workload is lowest (Eq. 4's minimum-average criterion reduces
@@ -491,7 +495,6 @@ impl Manager {
             };
 
             // Gates.
-            let src_before = self.device_perf_us(src_obs);
             // Eq. 7: "if the destination has no load, the migrated workload is
             // used for the calculation at the destination" — the before-side of
             // an empty destination is the workload's current latency, so the
@@ -508,9 +511,9 @@ impl Manager {
 
             let accept = if self.policy.cost_benefit() {
                 let unit = UnitCosts {
-                    src_read_us: per_block_read_us(src_obs, self.source.base()),
+                    src_read_us,
                     dst_write_us: per_block_write_us(dst_obs, self.source.base()),
-                    src_contention_us: self.contention_us(src_obs),
+                    src_contention_us,
                     dst_contention_us: self.contention_us(dst_obs),
                     net_us: if dst_obs.node != src_obs.node {
                         self.net.per_block_us
@@ -593,8 +596,40 @@ impl Manager {
         new_workload: &ResidentInfo,
         home: Option<usize>,
     ) -> Option<DatastoreId> {
+        // Each store's Eq. 5 term in every other candidate's average,
+        // computed once: a NaN estimate (zero-IO epoch) contributes no
+        // signal, and a degraded store's measured latency reflects its
+        // faults, so it neither helps nor hurts a placement elsewhere.
+        let terms: Vec<f64> = observations
+            .iter()
+            .map(
+                |o| match o.health.available().then(|| self.device_perf_us(o)) {
+                    Some(p) if p.is_finite() => p,
+                    _ => 0.0,
+                },
+            )
+            .collect();
+        // Idle devices do not participate in the imbalance preview — an
+        // empty tier is an opportunity, not a hot spot. Keeping the two
+        // largest and two smallest steering terms lets each candidate's
+        // preview leave its own term out in O(1).
+        let steering = || {
+            observations
+                .iter()
+                .zip(&terms)
+                .enumerate()
+                .filter(|(_, (o, _))| o.counts_for_imbalance())
+                .map(|(j, (_, &p))| (j, p))
+        };
+        let highest = top_two(steering(), |a, b| a > b);
+        let lowest = top_two(steering(), |a, b| a < b);
+
         let mut best: Option<(DatastoreId, f64)> = None;
+        // Σ terms[..i], accumulated in index order.
+        let mut prefix = 0.0;
         for (i, obs) in observations.iter().enumerate() {
+            let head = prefix;
+            prefix += terms[i];
             if !obs.health.available() || obs.free_capacity_blocks < new_workload.size_blocks {
                 continue;
             }
@@ -605,40 +640,22 @@ impl Manager {
                 // placing on it would be a blind bet.
                 continue;
             }
-            // Average system performance if placed here (Eq. 4).
-            let mut total = 0.0;
-            let mut norms = Vec::with_capacity(observations.len());
-            for (j, other) in observations.iter().enumerate() {
-                let p = if j == i {
-                    with_new
-                } else if other.health.available() {
-                    // A NaN estimate (zero-IO epoch) contributes no signal.
-                    let p = self.device_perf_us(other);
-                    if p.is_finite() {
-                        p
-                    } else {
-                        0.0
-                    }
-                } else {
-                    // A degraded store's measured latency reflects its
-                    // faults; it neither helps nor hurts a placement
-                    // elsewhere.
-                    0.0
-                };
-                total += p;
-                // Idle devices do not participate in the imbalance
-                // preview — an empty tier is an opportunity, not a hot
-                // spot.
-                if j == i || other.counts_for_imbalance() {
-                    norms.push(p);
-                }
-            }
+            // Average system performance if placed here (Eq. 4), summed
+            // left to right in store order rather than as Σ − term +
+            // what-if: float addition is not associative, and reordering
+            // it would move choices between near-tied candidates.
+            let total = terms[i + 1..]
+                .iter()
+                .fold(head + with_new, |acc, &p| acc + p);
             let avg = total / observations.len() as f64;
             // §5.1.1: reject candidates whose placement would immediately
-            // trip the imbalance detector (raw-latency imbalance).
-            let max_n = norms.iter().cloned().fold(0.0f64, f64::max);
-            let min_n = norms.iter().cloned().fold(f64::INFINITY, f64::min);
-            let imbalance = if max_n > 0.0 && norms.len() > 1 {
+            // trip the imbalance detector (raw-latency imbalance) over this
+            // store's what-if and every other steering store. With no other
+            // steering store, max and min are both `with_new` and Δ/max
+            // comes out 0.
+            let max_n = excluding(highest, i).map_or(with_new, |p| with_new.max(p));
+            let min_n = excluding(lowest, i).map_or(with_new, |p| with_new.min(p));
+            let imbalance = if max_n > 0.0 {
                 (max_n - min_n) / max_n
             } else {
                 0.0
@@ -705,6 +722,30 @@ impl Manager {
         }
         None
     }
+}
+
+/// An indexed value and its runner-up under `better`, first-wins on ties.
+type TopTwo = [Option<(usize, f64)>; 2];
+
+/// The two best `(index, value)` pairs of `items` under `better`.
+fn top_two(items: impl Iterator<Item = (usize, f64)>, better: impl Fn(f64, f64) -> bool) -> TopTwo {
+    let mut top: TopTwo = [None, None];
+    for (j, p) in items {
+        if top[0].is_none_or(|(_, b)| better(p, b)) {
+            top = [Some((j, p)), top[0]];
+        } else if top[1].is_none_or(|(_, b)| better(p, b)) {
+            top[1] = Some((j, p));
+        }
+    }
+    top
+}
+
+/// The best value of `top` that does not belong to index `i`.
+fn excluding(top: TopTwo, i: usize) -> Option<f64> {
+    top.into_iter()
+        .flatten()
+        .find(|&(j, _)| j != i)
+        .map(|(_, p)| p)
 }
 
 /// Per-block source read time estimate for Eq. 6, µs. Bulk copies stream

@@ -1,8 +1,8 @@
 //! Sharded placement and balancing for datacenter-scale clusters.
 //!
 //! The plain [`Manager`] walks every datastore for Eq. 4 placement and
-//! Eq. 5 imbalance — O(N) observations with an O(N) inner loop per
-//! placement candidate, fine for the paper's three nodes and hopeless for
+//! Eq. 5 imbalance — O(N) model calls per placement plus an O(N) float
+//! sum per candidate, fine for the paper's three nodes and hopeless for
 //! thousands. [`ShardedPolicyEngine`] partitions nodes into fixed-size
 //! shards and restricts every model-driven scan to one shard:
 //!
@@ -10,8 +10,12 @@
 //!   when the home shard rejects (no feasible store, or every candidate
 //!   would trip the τ preview), a *spill* path ranks the remaining shards
 //!   by a cheap measured-load summary (no model calls) and retries the
-//!   full Eq. 4 scan on the best candidates in order. The expensive scan
-//!   is O(shard²); the summary pass is O(N) arithmetic.
+//!   full Eq. 4 scan on the best candidates in order. The home shard is
+//!   found by binary search over the node-sorted observations. A scan
+//!   costs O(shard) model calls plus O(shard²) float adds (each
+//!   candidate's average is summed in store order, so it stays exact to
+//!   the bit); the summary pass, on the spill path only, is O(N)
+//!   arithmetic.
 //! * **Imbalance (Eq. 5)** picks the *hot shard* — the shard holding the
 //!   highest measured per-store latency among loaded, healthy stores —
 //!   and runs the inner manager's full detection + cost/benefit gate on
@@ -101,6 +105,30 @@ fn shard_ranges(observations: &[DeviceObservation], nodes_per_shard: usize) -> V
     ranges
 }
 
+/// The contiguous slice of `observations` (sorted by node) holding
+/// `home`'s shard. Workloads with no declared home, or whose home shard
+/// has no observed store, start at the first shard present — a
+/// deterministic choice; the spill path covers the rest. Two binary
+/// searches, no scan.
+fn home_slice(
+    observations: &[DeviceObservation],
+    nodes_per_shard: usize,
+    home: Option<usize>,
+) -> Range<usize> {
+    let shard_slice = |s: usize| {
+        observations.partition_point(|o| o.node / nodes_per_shard < s)
+            ..observations.partition_point(|o| o.node / nodes_per_shard <= s)
+    };
+    home.map(|h| shard_slice(h / nodes_per_shard))
+        .filter(|r| !r.is_empty())
+        .or_else(|| {
+            observations
+                .first()
+                .map(|o| shard_slice(o.node / nodes_per_shard))
+        })
+        .unwrap_or(0..0)
+}
+
 /// Computes the per-shard summaries of one observation set. Exposed for
 /// the spill path, the serving-plane report, and the shard-scan bench.
 pub fn shard_summaries(
@@ -150,8 +178,10 @@ pub fn shard_summaries(
 /// shards and keeps every Eq. 4/5 model scan O(shard), not O(cluster).
 ///
 /// Wraps an unsharded [`Manager`]; all Eq. 4–7 arithmetic (including
-/// debounce state and the prediction memo) lives in the inner manager and
-/// is driven with per-shard observation slices.
+/// debounce state) lives in the inner manager and is driven with
+/// per-shard observation slices. An admission costs two binary searches
+/// and one home-shard scan — O(shard) model calls plus O(shard²) float
+/// adds — unless the home shard rejects and the spill path runs.
 #[derive(Debug)]
 pub struct ShardedPolicyEngine {
     inner: Manager,
@@ -210,34 +240,34 @@ impl PolicyEngine for ShardedPolicyEngine {
         new_workload: &ResidentInfo,
         home: Option<usize>,
     ) -> Option<DatastoreId> {
-        let ranges = shard_ranges(observations, self.nodes_per_shard);
-        if ranges.len() <= 1 {
+        let nps = self.nodes_per_shard;
+        // Sorted by node, the slice spans one shard iff its ends share one.
+        let one_shard = match (observations.first(), observations.last()) {
+            (Some(first), Some(last)) => first.node / nps == last.node / nps,
+            _ => true,
+        };
+        if one_shard {
             // One shard covers everything: identical to the unsharded scan.
             return self
                 .inner
                 .initial_placement_from(observations, new_workload, home);
         }
-        // Workloads with no declared home shard start at shard 0 — a
-        // deterministic choice; the spill path covers the rest.
-        let home_shard = home
-            .map(|h| h / self.nodes_per_shard)
-            .and_then(|s| {
-                ranges
-                    .iter()
-                    .position(|r| observations[r.start].node / self.nodes_per_shard == s)
-            })
-            .unwrap_or(0);
-        if let Some(ds) = self.inner.initial_placement_from(
-            &observations[ranges[home_shard].clone()],
-            new_workload,
-            home,
-        ) {
+        let home_range = home_slice(observations, nps, home);
+        if let Some(ds) =
+            self.inner
+                .initial_placement_from(&observations[home_range.clone()], new_workload, home)
+        {
             return Some(ds);
         }
+        let ranges = shard_ranges(observations, nps);
+        let home_shard = ranges
+            .iter()
+            .position(|r| r.start == home_range.start)
+            .expect("the home slice is one of the shard ranges");
         // Home shard rejected: rank the other shards by the cheap measured
         // summary (lightest load first, capacity-feasible only) and retry
         // the Eq. 4 scan there. Deterministic order: load, then ordinal.
-        let summaries = shard_summaries(observations, self.nodes_per_shard);
+        let summaries = shard_summaries(observations, nps);
         let mut spill: Vec<usize> = (0..ranges.len())
             .filter(|&i| {
                 i != home_shard
@@ -552,6 +582,37 @@ mod tests {
         let d = PolicyEngine::evacuation_decision(&sharded, &fleet).expect("escalates");
         assert_eq!(d.src, DatastoreId(2));
         assert!(d.dst.0 < 2, "expected a cross-shard evacuation destination");
+    }
+
+    #[test]
+    fn home_slice_matches_the_range_scan() {
+        // The binary-search lookup against the linear one it replaced:
+        // scan the shard ranges, take the home shard's position, fall back
+        // to the first shard. Node steps of up to 7 skip whole shards, so
+        // homes inside gaps, beyond the last node and absent all occur.
+        let mut rng = nvhsm_sim::SimRng::new(0x0005_11CE);
+        for case in 0..2_000 {
+            let nps = 1 + rng.below(5) as usize;
+            let mut node = rng.below(6) as usize;
+            let fleet: Vec<DeviceObservation> = (0..1 + rng.below(24) as usize)
+                .map(|ds| {
+                    node += [0, 0, 1, 2, 7][rng.below(5) as usize];
+                    obs(ds, node, DeviceKind::Ssd, 100.0, 1_000)
+                })
+                .collect();
+            let home = [None, Some(rng.below(node as u64 + 12) as usize)][rng.below(2) as usize];
+            let ranges = shard_ranges(&fleet, nps);
+            let home_shard = home
+                .map(|h| h / nps)
+                .and_then(|s| ranges.iter().position(|r| fleet[r.start].node / nps == s))
+                .unwrap_or(0);
+            assert_eq!(
+                home_slice(&fleet, nps, home),
+                ranges[home_shard],
+                "case {case}: nps={nps} home={home:?}"
+            );
+        }
+        assert_eq!(home_slice(&[], 3, Some(4)), 0..0);
     }
 
     #[test]

@@ -617,40 +617,34 @@ impl ServingSim {
         let s = &mut self.stores[store];
         s.used_blocks += demand.blocks;
         s.residents.push(id);
-        self.patch_store_obs(store, Some((id, demand)));
+        let lat = self.store_mean_us(store);
+        let info = self.resident_info(VmdkId(id), demand, lat, store);
+        if let Some(o) = self.patch_store_obs(store) {
+            o.residents.push(info);
+        }
     }
 
     fn remove_vmdk_from_store(&mut self, id: u32, store: usize, demand: &VmdkDemand) {
         let s = &mut self.stores[store];
         s.used_blocks = s.used_blocks.saturating_sub(demand.blocks);
         s.residents.retain(|&r| r != id);
-        self.patch_store_obs(store, None);
+        if let Some(o) = self.patch_store_obs(store) {
+            o.residents.retain(|r| r.vmdk.0 != id);
+        }
     }
 
-    /// Keeps the observation cache's capacity view current between epoch
-    /// rebuilds. `added` carries a just-placed VMDK to append as a
-    /// resident; removals instead drop the matching resident. Latency in
-    /// the cache refreshes only at the next epoch (documented staleness).
-    fn patch_store_obs(&mut self, store: usize, added: Option<(u32, &VmdkDemand)>) {
+    /// Keeps the observation cache's capacity view of `store` current
+    /// between epoch rebuilds, and hands the cached observation back so the
+    /// caller can append or drop the resident it just placed or removed.
+    /// Latency in the cache refreshes only at the next epoch (documented
+    /// staleness).
+    fn patch_store_obs(&mut self, store: usize) -> Option<&mut DeviceObservation> {
         let free = self.store_free(store);
         let free_space = free as f64 / self.stores[store].capacity_blocks.max(1) as f64;
-        let lat = self.store_mean_us(store);
-        let info = added.map(|(id, d)| self.resident_info(VmdkId(id), d, lat, store));
-        let resident_ids = added
-            .is_none()
-            .then(|| self.stores[store].residents.clone());
-        if let Some(o) = self.obs.get_mut(store) {
-            o.free_capacity_blocks = free;
-            o.free_space = free_space;
-            match info {
-                Some(info) => o.residents.push(info),
-                None => {
-                    if let Some(ids) = resident_ids {
-                        o.residents.retain(|r| ids.contains(&r.vmdk.0));
-                    }
-                }
-            }
-        }
+        let o = self.obs.get_mut(store)?;
+        o.free_capacity_blocks = free;
+        o.free_space = free_space;
+        Some(o)
     }
 
     /// A [`ResidentInfo`] for a VMDK demanded at `store` (or, for
