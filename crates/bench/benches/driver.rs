@@ -1,5 +1,5 @@
 //! Benchmarks of the scenario-parallel driver and the hot-path kernels it
-//! leans on: the event-queue `pop_due` fast path, the memoized device-model
+//! leans on: the event-queue `pop_due` fast path, the device-model
 //! prediction, the staged buffer-cache probe and eviction, the bus-slowdown lookup
 //! table, O(1) report building, one full mix scenario, and grid throughput
 //! at 1 vs all workers.
@@ -11,26 +11,26 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use nvhsm_cache::{AccessClass, BypassCache, LrfuCache};
 use nvhsm_core::manager::{NetworkCosts, PolicyEngine, ResidentInfo};
 use nvhsm_core::migration::ActiveMigration;
-use nvhsm_core::training::{pretrain_models, PerfModelSource};
+use nvhsm_core::training::pretrain_models;
 use nvhsm_core::{
-    shard_summaries, DatastoreId, Manager, MigrationMode, NodeConfig, NodeSim, OnlineModelConfig,
-    OnlineModels, PolicyKind, RefitPolicy, ServingConfig, ServingSim, ShardedPolicyEngine, VmdkId,
+    shard_summaries, DatastoreId, Manager, MigrationMode, ModelSource, NodeConfig, NodeSim,
+    OnlineModelConfig, PolicyKind, RefitPolicy, ServingConfig, ServingSim, ShardedPolicyEngine,
+    VmdkId,
 };
 use nvhsm_device::{DeviceKind, IoOp, IoRequest, SsdConfig, SsdDevice, StorageDevice};
 use nvhsm_experiments::mix::{run_mix, MixParams};
 use nvhsm_experiments::Scale;
 use nvhsm_mem::{AnalyticBus, CalibrationCurve, DramConfig};
 use nvhsm_model::Features;
-use nvhsm_sim::{parallel, EventQueue, HeapEventQueue, SimDuration, SimRng, SimTime};
+use nvhsm_sim::{parallel, EventQueue, SimDuration, SimRng, SimTime};
 
-/// The pop_due drain loop shared by the calendar/heap before-after pairs:
-/// 1024 events over 1 ms of virtual time, drained in 2 µs deadline steps
-/// (so roughly half the probes hit the fast not-due branch).
-macro_rules! pop_due_loop {
-    ($queue:ty, $b:ident) => {{
+fn bench_pop_due(c: &mut Criterion) {
+    // 1024 events over 1 ms of virtual time, drained in 2 µs deadline
+    // steps (so roughly half the probes hit the fast not-due branch).
+    c.bench_function("driver/event_queue_pop_due_1k", |b| {
         let mut rng = SimRng::new(1);
-        $b.iter(|| {
-            let mut q = <$queue>::with_capacity(1024);
+        b.iter(|| {
+            let mut q = EventQueue::with_capacity(1024);
             q.reserve(1024);
             for i in 0..1024u64 {
                 q.push(SimTime::from_ns(rng.below(1_000_000)), i);
@@ -45,17 +45,14 @@ macro_rules! pop_due_loop {
             }
             black_box(acc)
         })
-    }};
-}
-
-/// Same schedule through the batch `drain_due` API instead of one
-/// `pop_due` call per event.
-macro_rules! drain_due_loop {
-    ($queue:ty, $b:ident) => {{
+    });
+    // Same schedule through the batch `drain_due` API instead of one
+    // `pop_due` call per event.
+    c.bench_function("driver/event_queue_drain_due_1k", |b| {
         let mut rng = SimRng::new(1);
         let mut batch: Vec<(SimTime, u64)> = Vec::with_capacity(1024);
-        $b.iter(|| {
-            let mut q = <$queue>::with_capacity(1024);
+        b.iter(|| {
+            let mut q = EventQueue::with_capacity(1024);
             q.reserve(1024);
             for i in 0..1024u64 {
                 q.push(SimTime::from_ns(rng.below(1_000_000)), i);
@@ -72,23 +69,6 @@ macro_rules! drain_due_loop {
             }
             black_box(acc)
         })
-    }};
-}
-
-fn bench_pop_due(c: &mut Criterion) {
-    c.bench_function("driver/event_queue_pop_due_1k", |b| {
-        pop_due_loop!(EventQueue<u64>, b)
-    });
-    // The retired binary-heap queue on the same schedule: the before side
-    // of the calendar-queue pair.
-    c.bench_function("driver/event_queue_pop_due_1k_heap", |b| {
-        pop_due_loop!(HeapEventQueue<u64>, b)
-    });
-    c.bench_function("driver/event_queue_drain_due_1k", |b| {
-        drain_due_loop!(EventQueue<u64>, b)
-    });
-    c.bench_function("driver/event_queue_drain_due_1k_heap", |b| {
-        drain_due_loop!(HeapEventQueue<u64>, b)
     });
     // Baseline: the pre-optimization shape — peek to check the deadline,
     // then pop as a second queue access.
@@ -113,7 +93,7 @@ fn bench_pop_due(c: &mut Criterion) {
     });
 }
 
-fn bench_predict_memo(c: &mut Criterion) {
+fn bench_predict(c: &mut Criterion) {
     let models = pretrain_models(40, 7);
     let mut rng = SimRng::new(8);
     let probes: Vec<Features> = (0..64)
@@ -142,29 +122,17 @@ fn bench_predict_memo(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    c.bench_function("driver/predict_memo_64x8", |b| {
-        b.iter(|| {
-            models.clear_prediction_memo();
-            let mut acc = 0.0;
-            for _ in 0..PASSES {
-                for f in &probes {
-                    acc += models.predict_us(DeviceKind::Ssd, f);
-                }
-            }
-            black_box(acc)
-        })
-    });
     // The online source with a learned correction installed: the worst
-    // case the epoch-decision hot path can hit (memoized base lookup plus
-    // one residual-tree walk per prediction).
-    let mut online = OnlineModels::new(
-        pretrain_models(40, 7),
-        OnlineModelConfig {
+    // case the epoch-decision hot path can hit (base-tree walk plus one
+    // residual-tree walk per prediction).
+    let mut online = ModelSource::new(
+        models.clone(),
+        Some(OnlineModelConfig {
             policy: RefitPolicy::Periodic,
             refit_every: 1,
             min_refit_samples: 16,
             ..OnlineModelConfig::default()
-        },
+        }),
     );
     for f in &probes {
         let truth = online.base().predict_us(DeviceKind::Ssd, f) + 150.0;
@@ -174,7 +142,6 @@ fn bench_predict_memo(c: &mut Criterion) {
     assert!(online.has_correction(DeviceKind::Ssd));
     c.bench_function("driver/predict_online_64x8", |b| {
         b.iter(|| {
-            PerfModelSource::clear_prediction_memo(&online);
             let mut acc = 0.0;
             for _ in 0..PASSES {
                 for f in &probes {
@@ -189,7 +156,7 @@ fn bench_predict_memo(c: &mut Criterion) {
 fn bench_cache_probe(c: &mut Criterion) {
     // The staged datapath probes the node's buffer cache on every
     // foreground request before device submission, so the warm-hit probe
-    // is a per-request kernel like the memoized prediction above. Same
+    // is a per-request kernel like the prediction above. Same
     // shape: 64 resident blocks, 8 passes per iteration.
     const PASSES: usize = 8;
     const WORKING_SET: u64 = 64;
@@ -441,7 +408,9 @@ fn small_scenario(seed: u64) -> f64 {
     let span = dev.logical_blocks() / 4;
     for i in 0..2_000u64 {
         let op = if i % 4 == 0 { IoOp::Write } else { IoOp::Read };
-        let c = dev.submit(&IoRequest::normal(0, rng.below(span), 2, op, t));
+        let c = dev
+            .try_submit(&IoRequest::normal(0, rng.below(span), 2, op, t))
+            .expect("no fault hook installed");
         sum += c.latency.as_us_f64();
         t += SimDuration::from_us(30);
     }
@@ -485,7 +454,7 @@ fn bench_single_scenario(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_pop_due,
-    bench_predict_memo,
+    bench_predict,
     bench_cache_probe,
     bench_bus_lut,
     bench_report_build,

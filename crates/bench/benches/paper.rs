@@ -26,7 +26,7 @@ fn bench_fig5(c: &mut Criterion) {
             let mut t = SimTime::ZERO;
             for _ in 0..200 {
                 let req = IoRequest::normal(0, rng.below(100_000), 1, IoOp::Read, t);
-                t = dev.submit(&req).done;
+                t = dev.try_submit(&req).expect("no fault hook installed").done;
             }
             black_box(t)
         })
@@ -38,7 +38,7 @@ fn bench_fig5(c: &mut Criterion) {
             let mut t = SimTime::ZERO;
             for _ in 0..100 {
                 let req = IoRequest::normal(0, rng.below(500_000), 1, IoOp::Read, t);
-                t = dev.submit(&req).done;
+                t = dev.try_submit(&req).expect("no fault hook installed").done;
             }
             black_box(t)
         })
@@ -56,7 +56,7 @@ fn bench_fig5(c: &mut Criterion) {
                     let mut t = SimTime::ZERO;
                     for _ in 0..200 {
                         let req = IoRequest::normal(0, rng.below(50_000), 1, IoOp::Read, t);
-                        t = dev.submit(&req).done;
+                        t = dev.try_submit(&req).expect("no fault hook installed").done;
                     }
                     black_box(t)
                 })

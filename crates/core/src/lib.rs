@@ -67,10 +67,8 @@ pub use node::{
     IoOutcome, MigrationEvent, NodeCacheConfig, NodeConfig, NodeReport, NodeSim, PlacementError,
     RecoveryPolicy,
 };
-pub use online::{ModelSource, OnlineModelConfig, OnlineModels, RefitPolicy};
+pub use online::{ModelSource, OnlineModelConfig, RefitPolicy};
 pub use policy::PolicyKind;
 pub use serving::{ServingConfig, ServingReport, ServingSim};
-pub use training::{
-    pretrain_models, ModelEvent, ModelObservation, ModelSourceStats, PerfModelSource,
-};
+pub use training::{pretrain_models, ModelEvent, ModelObservation, ModelSourceStats};
 pub use vmdk::{Vmdk, VmdkId};

@@ -11,9 +11,7 @@ use crate::datastore::DatastoreId;
 use crate::migration::{migration_benefit_us, migration_cost_us, MigrationMode, UnitCosts};
 use crate::online::ModelSource;
 use crate::policy::PolicyKind;
-use crate::training::{
-    DeviceModels, ModelEvent, ModelObservation, ModelSourceStats, PerfModelSource,
-};
+use crate::training::{DeviceModels, ModelEvent, ModelObservation, ModelSourceStats};
 use crate::vmdk::VmdkId;
 use nvhsm_device::{DeviceKind, EpochStats};
 use nvhsm_model::Features;
@@ -183,7 +181,7 @@ impl Manager {
     ///
     /// Panics if `tau` is not in `(0, 1]`.
     pub fn new(policy: PolicyKind, tau: f64, models: DeviceModels) -> Self {
-        Self::with_source(policy, tau, ModelSource::Static(models))
+        Self::with_source(policy, tau, ModelSource::new(models, None))
     }
 
     /// Builds a manager over an explicit model source (static or online).
@@ -371,9 +369,6 @@ impl Manager {
         observations: &[DeviceObservation],
         migration_active: bool,
     ) -> Option<MigrationDecision> {
-        // New epoch, new feature vectors: memoized predictions from the
-        // previous epoch can never hit again.
-        self.source.clear_prediction_memo();
         let mut diag = EpochDiagnostics::default();
         // Raw per-device latencies (Eq. 5): the paper compares device
         // performance directly, which is what drives load toward the fast

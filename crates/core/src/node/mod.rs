@@ -131,11 +131,11 @@ pub struct NodeConfig {
     /// value ≥ the node count yields one shard and is byte-identical to
     /// the unsharded manager (the differential-oracle tests pin this).
     pub shard_nodes: usize,
-    /// Online model updating: `Some` wraps the pretrained models in an
-    /// [`crate::OnlineModels`] source that learns residual corrections
-    /// from observed epoch latencies and refits on drift. `None` keeps
-    /// the paper's static §4 setup, byte-identical to builds without the
-    /// online subsystem.
+    /// Online model updating: `Some` makes the manager's
+    /// [`crate::ModelSource`] learn residual corrections from observed
+    /// epoch latencies and refit on drift. `None` keeps the paper's
+    /// static §4 setup, byte-identical to builds without the online
+    /// subsystem.
     pub online_model: Option<crate::online::OnlineModelConfig>,
     /// Node-level buffer-cache stage hoisted out of the NVDIMM device
     /// model into the datapath (see [`cache_stage`]). `Some` with a
@@ -306,7 +306,7 @@ impl NodeSim {
         assert!(nodes > 0, "need at least one node");
         let mut rng = SimRng::new(seed);
         let models = pretrain_models(cfg.train_requests, rng.next_u64());
-        let source = crate::online::ModelSource::from_config(models, cfg.online_model);
+        let source = crate::online::ModelSource::new(models, cfg.online_model);
         let mut manager: Box<dyn PolicyEngine> = if cfg.shard_nodes > 0 {
             Box::new(crate::manager::ShardedPolicyEngine::new(
                 Manager::with_source(cfg.policy, cfg.tau, source),

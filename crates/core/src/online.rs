@@ -4,13 +4,14 @@
 //! contention-free synthetic grid (§4). Under phase-shifting colocation
 //! the measured latency `MP` drifts away from that static prediction:
 //! queueing between colocated workloads and bus contention are regimes
-//! the pretraining never saw. [`OnlineModels`] closes the loop: it
-//! accumulates observed (WC, MP) pairs per device kind, watches the
-//! per-epoch mean absolute prediction error with a Page–Hinkley test,
-//! and — at epoch boundaries only — fits a **residual-correction tree**
-//! on the window (latency target = measured − base prediction), so the
-//! pretrained tree keeps providing the broad shape and the refit learns
-//! the current regime's systematic offset.
+//! the pretraining never saw. A [`ModelSource`] built with an
+//! [`OnlineModelConfig`] closes the loop: it accumulates observed
+//! (WC, MP) pairs per device kind, watches the per-epoch mean absolute
+//! prediction error with a Page–Hinkley test, and — at epoch boundaries
+//! only — fits a **residual-correction tree** on the window (latency
+//! target = measured − base prediction), so the pretrained tree keeps
+//! providing the broad shape and the refit learns the current regime's
+//! systematic offset.
 //!
 //! Determinism: refits consume no simulation RNG. The window is a
 //! bounded FIFO of observed samples, and when it outgrows the refit cap
@@ -18,7 +19,7 @@
 //! scenario refits identically at `--jobs 1` and `--jobs 4`, and the
 //! existing RNG streams (and golden traces) are untouched.
 
-use crate::training::{kind_index, DeviceModels, ModelEvent, PerfModelSource};
+use crate::training::{kind_index, DeviceModels, ModelEvent};
 use nvhsm_device::DeviceKind;
 use nvhsm_model::{Dataset, Features, FlatTree, LeafModel, PerfModel, RegTreeConfig, Sample};
 use std::collections::VecDeque;
@@ -118,33 +119,25 @@ impl KindState {
     }
 }
 
-/// An online-updating [`PerfModelSource`]: the pretrained
-/// [`DeviceModels`] plus a per-kind learned residual correction.
+const KINDS: [DeviceKind; 3] = [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd];
+
+/// The online half of a [`ModelSource`]: the config plus per-kind
+/// windows, corrections and drift detectors.
 #[derive(Debug)]
-pub struct OnlineModels {
-    base: DeviceModels,
+struct OnlineState {
     cfg: OnlineModelConfig,
     kinds: [KindState; 3],
 }
 
-impl OnlineModels {
-    /// Wraps pretrained models with online updating.
-    pub fn new(base: DeviceModels, cfg: OnlineModelConfig) -> Self {
-        OnlineModels {
-            base,
-            cfg,
-            kinds: Default::default(),
+impl OnlineState {
+    /// `base_us` plus the correction installed for kind index `i`, if any.
+    fn corrected(&self, i: usize, base_us: f64, features: &Features) -> f64 {
+        match &self.kinds[i].correction {
+            // Corrections can over- or under-shoot; a latency prediction
+            // below zero carries no Eq. 4/5 signal.
+            Some(m) => (base_us + m.predict(features)).max(0.0),
+            None => base_us,
         }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &OnlineModelConfig {
-        &self.cfg
-    }
-
-    /// Whether `kind` currently has a learned correction installed.
-    pub fn has_correction(&self, kind: DeviceKind) -> bool {
-        self.kinds[kind_index(kind)].correction.is_some()
     }
 
     /// Mean absolute residual of the *current* model over `kind`'s
@@ -236,40 +229,8 @@ impl OnlineModels {
         let err_after = self.window_err_us(i);
         Some((samples, err_before, err_after))
     }
-}
 
-const KINDS: [DeviceKind; 3] = [DeviceKind::Nvdimm, DeviceKind::Ssd, DeviceKind::Hdd];
-
-impl PerfModelSource for OnlineModels {
-    fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
-        let base = self.base.predict_us(kind, features);
-        match &self.kinds[kind_index(kind)].correction {
-            // Corrections can over- or under-shoot; a latency prediction
-            // below zero carries no Eq. 4/5 signal.
-            Some(m) => (base + m.predict(features)).max(0.0),
-            None => base,
-        }
-    }
-
-    fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
-        if !measured_us.is_finite() || !features.to_array().iter().all(|v| v.is_finite()) {
-            return 0.0;
-        }
-        let err = (self.predict(kind, features) - measured_us).abs();
-        let st = &mut self.kinds[kind_index(kind)];
-        st.epoch_err_sum += err;
-        st.epoch_err_count += 1;
-        if st.window.len() == self.cfg.window {
-            st.window.pop_front();
-        }
-        st.window.push_back(Sample {
-            features: *features,
-            // Residual target: what the base model got wrong.
-            latency_us: measured_us - self.base.predict_us(kind, features),
-        });
-        err
-    }
-
+    /// Drift detection and due refits for every kind observed this epoch.
     fn end_epoch(&mut self) -> Vec<ModelEvent> {
         let mut events = Vec::new();
         for (i, &kind) in KINDS.iter().enumerate() {
@@ -311,75 +272,94 @@ impl PerfModelSource for OnlineModels {
         }
         events
     }
-
-    fn base(&self) -> &DeviceModels {
-        &self.base
-    }
-
-    fn clear_prediction_memo(&self) {
-        self.base.clear_prediction_memo();
-    }
 }
 
-/// The model source a [`crate::Manager`] runs with: static dispatch over
-/// the two implementations, because `predict` sits on the epoch-decision
-/// hot path and a vtable call per candidate evaluation is measurable.
-// Not boxed despite the size skew: exactly one ModelSource lives in
-// each Manager (never in collections), and boxing either variant puts
-// a pointer chase in front of every hot-path predict call.
-#[allow(clippy::large_enum_variant)]
+/// The §4 performance model every Eq. 4/5 decision calls (`PP = f(WC)`,
+/// Eq. 1): the pretrained [`DeviceModels`], plus — when built with an
+/// [`OnlineModelConfig`] — a per-kind learned residual correction that
+/// refits on drift.
+///
+/// `observe` returns the absolute prediction error of the *pre-update*
+/// model so callers can account error without predicting twice; refits
+/// happen only inside `end_epoch`, keeping predictions stable within an
+/// epoch (and the grid driver's byte-identical guarantee intact).
 #[derive(Debug)]
-pub enum ModelSource {
-    /// Pretrained once, never updated (the paper's §4 setup).
-    Static(DeviceModels),
-    /// Online-updating with drift detection.
-    Online(OnlineModels),
+pub struct ModelSource {
+    base: DeviceModels,
+    /// `None` is the paper's static §4 setup: predictions are the
+    /// pretrained trees verbatim and nothing is learned.
+    online: Option<OnlineState>,
 }
 
 impl ModelSource {
-    /// Builds the source a node configuration asks for.
-    pub fn from_config(models: DeviceModels, online: Option<OnlineModelConfig>) -> Self {
-        match online {
-            Some(cfg) => ModelSource::Online(OnlineModels::new(models, cfg)),
-            None => ModelSource::Static(models),
-        }
-    }
-}
-
-impl PerfModelSource for ModelSource {
-    fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
-        match self {
-            ModelSource::Static(m) => m.predict_us(kind, features),
-            ModelSource::Online(m) => m.predict(kind, features),
+    /// Wraps pretrained models; `Some(cfg)` adds online updating.
+    pub fn new(base: DeviceModels, online: Option<OnlineModelConfig>) -> Self {
+        ModelSource {
+            base,
+            online: online.map(|cfg| OnlineState {
+                cfg,
+                kinds: Default::default(),
+            }),
         }
     }
 
-    fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
-        match self {
-            ModelSource::Static(m) => m.observe(kind, features, measured_us),
-            ModelSource::Online(m) => m.observe(kind, features, measured_us),
+    /// Predicted latency of `kind` under `features`, µs.
+    pub fn predict(&self, kind: DeviceKind, features: &Features) -> f64 {
+        let base_us = self.base.predict_us(kind, features);
+        match &self.online {
+            Some(online) => online.corrected(kind_index(kind), base_us, features),
+            None => base_us,
         }
     }
 
-    fn end_epoch(&mut self) -> Vec<ModelEvent> {
-        match self {
-            ModelSource::Static(m) => m.end_epoch(),
-            ModelSource::Online(m) => m.end_epoch(),
+    /// Feeds one observed (WC, MP) pair; returns the absolute error of
+    /// the current prediction against `measured_us`, µs. The static
+    /// source returns that error for every pair; the online source
+    /// ignores pairs with a non-finite value, returning 0.
+    pub fn observe(&mut self, kind: DeviceKind, features: &Features, measured_us: f64) -> f64 {
+        let base_us = self.base.predict_us(kind, features);
+        let Some(online) = &mut self.online else {
+            return (base_us - measured_us).abs();
+        };
+        if !measured_us.is_finite() || !features.to_array().iter().all(|v| v.is_finite()) {
+            return 0.0;
         }
+        let i = kind_index(kind);
+        let err = (online.corrected(i, base_us, features) - measured_us).abs();
+        let window = online.cfg.window;
+        let st = &mut online.kinds[i];
+        st.epoch_err_sum += err;
+        st.epoch_err_count += 1;
+        if st.window.len() == window {
+            st.window.pop_front();
+        }
+        st.window.push_back(Sample {
+            features: *features,
+            // Residual target: what the base model got wrong.
+            latency_us: measured_us - base_us,
+        });
+        err
     }
 
-    fn base(&self) -> &DeviceModels {
-        match self {
-            ModelSource::Static(m) => m,
-            ModelSource::Online(m) => m.base(),
-        }
+    /// Closes the epoch: runs drift detection and any due refits,
+    /// returning what happened (empty for the static source).
+    pub fn end_epoch(&mut self) -> Vec<ModelEvent> {
+        self.online
+            .as_mut()
+            .map_or_else(Vec::new, OnlineState::end_epoch)
     }
 
-    fn clear_prediction_memo(&self) {
-        match self {
-            ModelSource::Static(m) => DeviceModels::clear_prediction_memo(m),
-            ModelSource::Online(m) => PerfModelSource::clear_prediction_memo(m),
-        }
+    /// The pretrained base models (baselines, slopes, per-block costs —
+    /// characteristics no online update touches).
+    pub fn base(&self) -> &DeviceModels {
+        &self.base
+    }
+
+    /// Whether `kind` currently has a learned correction installed.
+    pub fn has_correction(&self, kind: DeviceKind) -> bool {
+        self.online
+            .as_ref()
+            .is_some_and(|o| o.kinds[kind_index(kind)].correction.is_some())
     }
 }
 
@@ -406,7 +386,7 @@ mod tests {
     #[test]
     fn zero_observations_predicts_bit_identical_to_static() {
         let static_m = pretrain_models(40, 7);
-        let online = OnlineModels::new(pretrain_models(40, 7), OnlineModelConfig::default());
+        let online = ModelSource::new(pretrain_models(40, 7), Some(OnlineModelConfig::default()));
         for f in probe_set(100, 3) {
             for kind in KINDS {
                 assert_eq!(
@@ -419,14 +399,14 @@ mod tests {
 
     #[test]
     fn systematic_offset_is_learned_by_refit() {
-        let mut online = OnlineModels::new(
+        let mut online = ModelSource::new(
             pretrain_models(40, 7),
-            OnlineModelConfig {
+            Some(OnlineModelConfig {
                 policy: RefitPolicy::Periodic,
                 refit_every: 1,
                 min_refit_samples: 16,
                 ..OnlineModelConfig::default()
-            },
+            }),
         );
         let probes = probe_set(64, 5);
         // A constant +400 µs contention offset the static model can't see.
@@ -455,13 +435,13 @@ mod tests {
 
     #[test]
     fn drift_detector_fires_on_regime_change_only() {
-        let mut online = OnlineModels::new(
+        let mut online = ModelSource::new(
             pretrain_models(40, 7),
-            OnlineModelConfig {
+            Some(OnlineModelConfig {
                 policy: RefitPolicy::OnDrift,
                 lambda_us: 60.0,
                 ..OnlineModelConfig::default()
-            },
+            }),
         );
         let probes = probe_set(32, 9);
         // Phase 1: accurate epochs — no drift events.
@@ -497,16 +477,16 @@ mod tests {
     #[test]
     fn refits_are_deterministic_for_a_seed() {
         let run = || {
-            let mut online = OnlineModels::new(
+            let mut online = ModelSource::new(
                 pretrain_models(40, 11),
-                OnlineModelConfig {
+                Some(OnlineModelConfig {
                     policy: RefitPolicy::Periodic,
                     refit_every: 2,
                     window: 48,
                     max_refit_samples: 32,
                     min_refit_samples: 16,
                     ..OnlineModelConfig::default()
-                },
+                }),
             );
             let probes = probe_set(40, 17);
             let mut preds = Vec::new();
@@ -527,14 +507,14 @@ mod tests {
 
     #[test]
     fn corrected_predictions_are_the_two_tree_walks_exactly() {
-        let mut online = OnlineModels::new(
+        let mut online = ModelSource::new(
             pretrain_models(40, 7),
-            OnlineModelConfig {
+            Some(OnlineModelConfig {
                 policy: RefitPolicy::Periodic,
                 refit_every: 1,
                 min_refit_samples: 16,
                 ..OnlineModelConfig::default()
-            },
+            }),
         );
         for f in probe_set(64, 5) {
             let truth = online.base().predict_us(DeviceKind::Ssd, &f) + 120.0;
@@ -542,25 +522,19 @@ mod tests {
         }
         online.end_epoch();
         assert!(online.has_correction(DeviceKind::Ssd));
+        let correction = online
+            .online
+            .as_ref()
+            .and_then(|o| o.kinds[kind_index(DeviceKind::Ssd)].correction.as_ref())
+            .expect("correction installed");
         for f in probe_set(50, 21) {
-            let direct = (online.base().predict_us(DeviceKind::Ssd, &f)
-                + online.kinds[kind_index(DeviceKind::Ssd)]
-                    .correction
-                    .as_ref()
-                    .expect("correction installed")
-                    .predict(&f))
-            .max(0.0);
-            // Repeated calls are bit-identical to the uncached two-tree
-            // sum, before and after a memo clear.
+            let direct =
+                (online.base().predict_us(DeviceKind::Ssd, &f) + correction.predict(&f)).max(0.0);
+            // Repeated calls are bit-identical to the two-tree sum.
             assert_eq!(
                 online.predict(DeviceKind::Ssd, &f).to_bits(),
                 direct.to_bits()
             );
-            assert_eq!(
-                online.predict(DeviceKind::Ssd, &f).to_bits(),
-                direct.to_bits()
-            );
-            PerfModelSource::clear_prediction_memo(&online);
             assert_eq!(
                 online.predict(DeviceKind::Ssd, &f).to_bits(),
                 direct.to_bits()
@@ -570,14 +544,36 @@ mod tests {
 
     #[test]
     fn non_finite_observations_are_ignored() {
-        let mut online = OnlineModels::new(pretrain_models(40, 7), OnlineModelConfig::default());
+        let m = pretrain_models(40, 7);
+        let mut online = ModelSource::new(m.clone(), Some(OnlineModelConfig::default()));
+        let mut static_src = ModelSource::new(m.clone(), None);
         let f = Features::default();
-        assert_eq!(online.observe(DeviceKind::Ssd, &f, f64::NAN), 0.0);
         let bad = Features {
             oios: f64::INFINITY,
             ..Features::default()
         };
-        assert_eq!(online.observe(DeviceKind::Ssd, &bad, 10.0), 0.0);
+        let nan = Features {
+            wr_ratio: f64::NAN,
+            ..Features::default()
+        };
+        for (features, measured) in [(&f, f64::NAN), (&bad, 10.0), (&nan, 10.0)] {
+            assert_eq!(online.observe(DeviceKind::Ssd, features, measured), 0.0);
+            // The static source accounts every pair, finite or not.
+            assert_eq!(
+                static_src
+                    .observe(DeviceKind::Ssd, features, measured)
+                    .to_bits(),
+                (m.predict_us(DeviceKind::Ssd, features) - measured)
+                    .abs()
+                    .to_bits()
+            );
+        }
+        let window_empty = online
+            .online
+            .as_ref()
+            .is_some_and(|o| o.kinds.iter().all(|k| k.window.is_empty()));
+        assert!(window_empty, "non-finite pairs reached the window");
         assert!(online.end_epoch().is_empty());
+        assert!(static_src.end_epoch().is_empty());
     }
 }

@@ -181,8 +181,8 @@ pub struct ServingReport {
 pub struct ServingSim {
     cfg: ServingConfig,
     engine: Box<dyn PolicyEngine>,
-    /// The sim's own trained models for latency synthesis (the engine owns
-    /// an identical set — [`pretrain_models`] is deterministic).
+    /// The sim's own copy of the trained models for latency synthesis
+    /// (the engine's source holds an identical clone).
     models: DeviceModels,
     stores: Vec<StoreState>,
     vmdks: BTreeMap<u32, VmdkState>,
@@ -211,10 +211,8 @@ impl ServingSim {
             hop_us: cfg.hop_us,
             per_block_us: 0.0,
         };
-        let source = ModelSource::from_config(
-            pretrain_models(cfg.train_requests, cfg.seed),
-            cfg.online_model,
-        );
+        let models = pretrain_models(cfg.train_requests, cfg.seed);
+        let source = ModelSource::new(models.clone(), cfg.online_model);
         let mut engine: Box<dyn PolicyEngine> = if cfg.shard_nodes > 0 {
             Box::new(ShardedPolicyEngine::new(
                 Manager::with_source(cfg.policy, cfg.tau, source),
@@ -239,7 +237,6 @@ impl ServingSim {
                     })
             })
             .collect::<Vec<_>>();
-        let models = pretrain_models(cfg.train_requests, cfg.seed);
         let mut sim = ServingSim {
             engine,
             models,

@@ -66,7 +66,7 @@ impl HddConfig {
 /// use nvhsm_sim::SimTime;
 ///
 /// let mut dev = HddDevice::new(HddConfig::small_test());
-/// let c = dev.submit(&IoRequest::normal(0, 12345, 1, IoOp::Read, SimTime::ZERO));
+/// let c = dev.try_submit(&IoRequest::normal(0, 12345, 1, IoOp::Read, SimTime::ZERO)).expect("no fault hook installed");
 /// assert!(c.latency.as_ms_f64() > 5.0); // seek + rotation
 /// ```
 #[derive(Debug)]
@@ -133,13 +133,6 @@ impl StorageDevice for HddDevice {
         DeviceKind::Hdd
     }
 
-    fn submit(&mut self, req: &IoRequest) -> IoCompletion {
-        let done = self.service(req);
-        let completion = IoCompletion::finished(req.arrival, done);
-        self.stats.record(req, completion.latency);
-        completion
-    }
-
     fn try_submit(&mut self, req: &IoRequest) -> Result<IoCompletion, IoError> {
         // Failing windows reject before the head moves: cursor and busy
         // horizon stay untouched.
@@ -196,7 +189,9 @@ mod tests {
     #[test]
     fn random_access_pays_seek_and_rotation() {
         let mut d = dev();
-        let c = d.submit(&IoRequest::normal(0, 999, 1, IoOp::Read, SimTime::ZERO));
+        let c = d
+            .try_submit(&IoRequest::normal(0, 999, 1, IoOp::Read, SimTime::ZERO))
+            .expect("no fault hook installed");
         // 8 ms seek + 4.17 ms rotation + overhead + transfer.
         assert!(c.latency.as_ms_f64() > 12.0 && c.latency.as_ms_f64() < 13.5);
     }
@@ -204,8 +199,12 @@ mod tests {
     #[test]
     fn sequential_access_streams() {
         let mut d = dev();
-        let c0 = d.submit(&IoRequest::normal(0, 0, 1, IoOp::Read, SimTime::ZERO));
-        let c1 = d.submit(&IoRequest::normal(0, 1, 1, IoOp::Read, c0.done));
+        let c0 = d
+            .try_submit(&IoRequest::normal(0, 0, 1, IoOp::Read, SimTime::ZERO))
+            .expect("no fault hook installed");
+        let c1 = d
+            .try_submit(&IoRequest::normal(0, 1, 1, IoOp::Read, c0.done))
+            .expect("no fault hook installed");
         // No seek: only transfer + overhead (~130 µs).
         assert!(c1.latency.as_us_f64() < 300.0, "{}", c1.latency);
     }
@@ -225,16 +224,18 @@ mod tests {
                 // Random probes and the sequential run are separate streams
                 // so the sequential cursor survives interleaving.
                 let c = if rng.chance(rand_frac) {
-                    d.submit(&IoRequest::normal(
+                    d.try_submit(&IoRequest::normal(
                         1,
                         rng.below(1_000_000),
                         1,
                         IoOp::Read,
                         t,
                     ))
+                    .expect("no fault hook installed")
                 } else {
                     cursor += 1;
-                    d.submit(&IoRequest::normal(0, cursor, 1, IoOp::Read, t))
+                    d.try_submit(&IoRequest::normal(0, cursor, 1, IoOp::Read, t))
+                        .expect("no fault hook installed")
                 };
                 sum += c.latency.as_ms_f64();
                 t = c.done; // closed loop: OIO = 1
@@ -254,8 +255,12 @@ mod tests {
     #[test]
     fn single_head_serializes_requests() {
         let mut d = dev();
-        let c0 = d.submit(&IoRequest::normal(0, 10, 1, IoOp::Read, SimTime::ZERO));
-        let c1 = d.submit(&IoRequest::normal(1, 999_999, 1, IoOp::Read, SimTime::ZERO));
+        let c0 = d
+            .try_submit(&IoRequest::normal(0, 10, 1, IoOp::Read, SimTime::ZERO))
+            .expect("no fault hook installed");
+        let c1 = d
+            .try_submit(&IoRequest::normal(1, 999_999, 1, IoOp::Read, SimTime::ZERO))
+            .expect("no fault hook installed");
         assert!(c1.done > c0.done);
         assert!(c1.latency > c0.latency);
     }
@@ -310,13 +315,15 @@ mod tests {
             for _round in 0..20 {
                 let mut last = t;
                 for _ in 0..oio {
-                    let c = d.submit(&IoRequest::normal(
-                        0,
-                        rng.below(1_000_000),
-                        1,
-                        IoOp::Read,
-                        t,
-                    ));
+                    let c = d
+                        .try_submit(&IoRequest::normal(
+                            0,
+                            rng.below(1_000_000),
+                            1,
+                            IoOp::Read,
+                            t,
+                        ))
+                        .expect("no fault hook installed");
                     sum += c.latency.as_ms_f64();
                     count += 1.0;
                     last = c.done;

@@ -37,7 +37,7 @@
 //!     arrival: SimTime::ZERO,
 //!     class: AccessClass::Normal,
 //! };
-//! let done = dev.submit(&req);
+//! let done = dev.try_submit(&req).expect("no fault hook installed");
 //! assert!(done.done > SimTime::ZERO);
 //! assert_eq!(dev.kind(), DeviceKind::Nvdimm);
 //! ```
@@ -75,25 +75,16 @@ pub trait StorageDevice: Send {
     /// Which tier this device belongs to.
     fn kind(&self) -> DeviceKind;
 
-    /// Serves one request; returns its completion.
+    /// Serves one request under the installed fault hook, if any; the
+    /// device's only service path.
     ///
-    /// This path ignores any installed fault hook — it models the
-    /// fault-free fast path and keeps legacy callers (experiments that
-    /// predate fault injection) behaving exactly as before. Fault-aware
-    /// hosts use [`StorageDevice::try_submit`].
-    fn submit(&mut self, req: &IoRequest) -> IoCompletion;
-
-    /// Serves one request under the installed fault hook, if any.
-    ///
-    /// Healthy windows behave exactly like [`StorageDevice::submit`].
-    /// Latency-spike windows stretch the completion, stall windows defer it
-    /// to the window end, and transient/offline windows fail the request
-    /// with an [`IoError`] without advancing device state (the request
-    /// never reached the medium). The default implementation — used by
-    /// devices without fault support — always succeeds.
-    fn try_submit(&mut self, req: &IoRequest) -> Result<IoCompletion, IoError> {
-        Ok(self.submit(req))
-    }
+    /// With no hook installed (or in a healthy window) the request is
+    /// served fault-free and always succeeds. Latency-spike windows
+    /// stretch the completion, stall windows defer it to the window end,
+    /// and transient/offline windows fail the request with an [`IoError`]
+    /// without advancing device state (the request never reached the
+    /// medium).
+    fn try_submit(&mut self, req: &IoRequest) -> Result<IoCompletion, IoError>;
 
     /// Installs (or clears) the fault hook consulted by
     /// [`StorageDevice::try_submit`]. Default is a no-op for devices
@@ -104,7 +95,7 @@ pub trait StorageDevice: Send {
     /// [`StorageDevice::try_submit`] reports `IoSubmit` / `IoComplete` for
     /// admitted requests and `IoFault` for fault-gate rejections. Default
     /// is a no-op for devices without tracing support; with no sink
-    /// attached the submit path is unchanged.
+    /// attached the service path is unchanged.
     fn install_trace_sink(&mut self, _sink: Option<nvhsm_obs::SharedSink>) {}
 
     /// Logical capacity in 4 KiB blocks.

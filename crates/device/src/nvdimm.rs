@@ -149,7 +149,7 @@ impl NvdimmConfig {
 /// // Heavier ambient DRAM traffic -> slower NVDIMM I/O.
 /// dev.set_ambient_bus_utilization(0.8);
 /// let req = IoRequest::normal(0, 0, 1, IoOp::Read, SimTime::ZERO);
-/// let busy = dev.submit(&req).latency;
+/// let busy = dev.try_submit(&req).expect("no fault hook installed").latency;
 /// # let _ = busy;
 /// ```
 #[derive(Debug)]
@@ -344,16 +344,6 @@ impl StorageDevice for NvdimmDevice {
         DeviceKind::Nvdimm
     }
 
-    fn submit(&mut self, req: &IoRequest) -> IoCompletion {
-        let done = match req.op {
-            IoOp::Read => self.serve_read(req),
-            IoOp::Write => self.serve_write(req),
-        };
-        let completion = IoCompletion::finished(req.arrival, done);
-        self.stats.record(req, completion.latency);
-        completion
-    }
-
     fn try_submit(&mut self, req: &IoRequest) -> Result<IoCompletion, IoError> {
         // Failing windows reject before serve_* runs: the request never
         // reaches the cache, the persistent lane or NAND.
@@ -437,14 +427,20 @@ mod tests {
     fn writes_are_fast_reads_miss_to_nand() {
         let mut d = dev();
         d.prefill(0..1000); // block 500 exists on NAND, uncached
-        let w = d.submit(&write(0, SimTime::ZERO));
+        let w = d
+            .try_submit(&write(0, SimTime::ZERO))
+            .expect("no fault hook installed");
         // Buffered write: a few µs (Table 1's ~5 µs ballpark).
         assert!(w.latency.as_us_f64() < 10.0, "write {}", w.latency);
         // Cache hit read: fast.
-        let r = d.submit(&read(0, w.done));
+        let r = d
+            .try_submit(&read(0, w.done))
+            .expect("no fault hook installed");
         assert!(r.latency.as_us_f64() < 10.0, "hit read {}", r.latency);
         // Cold read: NAND (50 µs) + transfer.
-        let r2 = d.submit(&read(500, r.done));
+        let r2 = d
+            .try_submit(&read(500, r.done))
+            .expect("no fault hook installed");
         assert!(
             r2.latency.as_us_f64() > 50.0 && r2.latency.as_us_f64() < 100.0,
             "cold read {}",
@@ -463,7 +459,9 @@ mod tests {
             let mut t = SimTime::ZERO;
             let mut sum = 0.0;
             for i in 0..200u64 {
-                let c = d.submit(&read(i * 3 % 1000, t));
+                let c = d
+                    .try_submit(&read(i * 3 % 1000, t))
+                    .expect("no fault hook installed");
                 sum += c.latency.as_us_f64();
                 t += SimDuration::from_us(500);
             }
@@ -480,14 +478,14 @@ mod tests {
         let mut d = dev();
         // Baseline: migrated read inserts into the cache.
         let m = IoRequest::migrated(1, 42, 1, IoOp::Read, SimTime::ZERO);
-        d.submit(&m);
+        d.try_submit(&m).expect("no fault hook installed");
         assert!(d.cache().contains(42));
 
         let mut d2 = NvdimmDevice::new(NvdimmConfig::small_test().with_tuning(MigrationTuning {
             cache_bypass: true,
             sched_optimization: false,
         }));
-        d2.submit(&m);
+        d2.try_submit(&m).expect("no fault hook installed");
         assert!(!d2.cache().contains(42));
     }
 
@@ -502,14 +500,14 @@ mod tests {
             // Persistent write stream creates a chain.
             let mut t = SimTime::ZERO;
             for i in 0..64u64 {
-                d.submit(&write(i, t));
+                d.try_submit(&write(i, t)).expect("no fault hook installed");
                 t += SimDuration::from_us(10);
             }
             // Burst of migration writes.
             let mut last = SimTime::ZERO;
             for i in 0..64u64 {
                 let m = IoRequest::migrated(1, 2000 + i, 1, IoOp::Write, t);
-                last = d.submit(&m).done;
+                last = d.try_submit(&m).expect("no fault hook installed").done;
             }
             last
         };
@@ -528,7 +526,7 @@ mod tests {
         let mut d = NvdimmDevice::new(cfg);
         let mut t = SimTime::ZERO;
         for i in 0..64u64 {
-            d.submit(&write(i, t));
+            d.try_submit(&write(i, t)).expect("no fault hook installed");
             t += SimDuration::from_us(10);
         }
         assert!(d.write_backs() > 0);
@@ -537,7 +535,8 @@ mod tests {
     #[test]
     fn discard_block_invalidates_everywhere() {
         let mut d = dev();
-        d.submit(&write(7, SimTime::ZERO));
+        d.try_submit(&write(7, SimTime::ZERO))
+            .expect("no fault hook installed");
         d.discard_block(7);
         assert!(!d.cache().contains(7));
         assert_eq!(d.free_space_ratio(), 1.0);
@@ -556,7 +555,9 @@ mod tests {
             let mut t = SimTime::ZERO;
             let mut sum = 0.0;
             for i in 0..200u64 {
-                let c = d.submit(&read(i * 7 % 2_000, t));
+                let c = d
+                    .try_submit(&read(i * 7 % 2_000, t))
+                    .expect("no fault hook installed");
                 sum += c.latency.as_us_f64();
                 t += SimDuration::from_us(200);
             }
@@ -588,7 +589,7 @@ mod tests {
         ]);
         d.install_fault_hook(Some(DeviceFaultHook::new(schedule, SimRng::new(2))));
 
-        // Healthy before the first window: same as submit would produce.
+        // Healthy before the first window: served normally.
         let ok = d.try_submit(&read(500, SimTime::ZERO)).unwrap();
         assert!(ok.latency > SimDuration::ZERO);
         // Inside the offline window: rejected.
@@ -609,8 +610,10 @@ mod tests {
     #[test]
     fn stats_capture_mix() {
         let mut d = dev();
-        d.submit(&read(0, SimTime::ZERO));
-        d.submit(&write(0, SimTime::from_us(10)));
+        d.try_submit(&read(0, SimTime::ZERO))
+            .expect("no fault hook installed");
+        d.try_submit(&write(0, SimTime::from_us(10)))
+            .expect("no fault hook installed");
         let e = d.stats_mut().take_epoch(SimTime::from_ms(1));
         assert_eq!(e.reads, 1);
         assert_eq!(e.writes, 1);

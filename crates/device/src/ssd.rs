@@ -67,7 +67,7 @@ impl SsdConfig {
 /// use nvhsm_sim::SimTime;
 ///
 /// let mut dev = SsdDevice::new(SsdConfig::small_test());
-/// let c = dev.submit(&IoRequest::normal(0, 0, 8, IoOp::Write, SimTime::ZERO));
+/// let c = dev.try_submit(&IoRequest::normal(0, 0, 8, IoOp::Write, SimTime::ZERO)).expect("no fault hook installed");
 /// assert!(c.latency.as_us_f64() < 100.0);
 /// ```
 #[derive(Debug)]
@@ -174,16 +174,6 @@ impl StorageDevice for SsdDevice {
         DeviceKind::Ssd
     }
 
-    fn submit(&mut self, req: &IoRequest) -> IoCompletion {
-        let done = match req.op {
-            IoOp::Read => self.serve_read(req),
-            IoOp::Write => self.serve_write(req),
-        };
-        let completion = IoCompletion::finished(req.arrival, done);
-        self.stats.record(req, completion.latency);
-        completion
-    }
-
     fn try_submit(&mut self, req: &IoRequest) -> Result<IoCompletion, IoError> {
         // Failing windows reject before serve_* runs: read-ahead windows,
         // the FTL and the write buffer stay untouched.
@@ -254,11 +244,15 @@ mod tests {
         let mut d = dev();
         let mut t = SimTime::ZERO;
         // Prime the stream.
-        let c = d.submit(&IoRequest::normal(0, 0, 1, IoOp::Read, t));
+        let c = d
+            .try_submit(&IoRequest::normal(0, 0, 1, IoOp::Read, t))
+            .expect("no fault hook installed");
         t = c.done;
         let mut fast = 0;
         for b in 1..20u64 {
-            let c = d.submit(&IoRequest::normal(0, b, 1, IoOp::Read, t));
+            let c = d
+                .try_submit(&IoRequest::normal(0, b, 1, IoOp::Read, t))
+                .expect("no fault hook installed");
             // Read-ahead hit: controller path only, no NAND (~50 µs) visit.
             if c.latency.as_us_f64() < 380.0 {
                 fast += 1;
@@ -279,7 +273,9 @@ mod tests {
         let n = 50;
         for _ in 0..n {
             let b = rng.below(100_000) * 3;
-            let c = d.submit(&IoRequest::normal(0, b, 1, IoOp::Read, t));
+            let c = d
+                .try_submit(&IoRequest::normal(0, b, 1, IoOp::Read, t))
+                .expect("no fault hook installed");
             total += c.latency.as_us_f64();
             t = c.done;
         }
@@ -306,10 +302,12 @@ mod tests {
             for _ in 0..n {
                 let c = if rng.chance(rand_frac) {
                     let block = rng.below(200_000);
-                    d.submit(&IoRequest::normal(1, block, 1, IoOp::Read, t))
+                    d.try_submit(&IoRequest::normal(1, block, 1, IoOp::Read, t))
+                        .expect("no fault hook installed")
                 } else {
                     seq_cursor += 1;
-                    d.submit(&IoRequest::normal(0, seq_cursor, 1, IoOp::Read, t))
+                    d.try_submit(&IoRequest::normal(0, seq_cursor, 1, IoOp::Read, t))
+                        .expect("no fault hook installed")
                 };
                 sum += c.latency.as_us_f64();
                 t += SimDuration::from_us(2); // fixed offered rate
@@ -327,7 +325,9 @@ mod tests {
     #[test]
     fn writes_are_buffered_fast() {
         let mut d = dev();
-        let c = d.submit(&IoRequest::normal(0, 0, 1, IoOp::Write, SimTime::ZERO));
+        let c = d
+            .try_submit(&IoRequest::normal(0, 0, 1, IoOp::Write, SimTime::ZERO))
+            .expect("no fault hook installed");
         assert!(c.latency.as_us_f64() < 30.0, "{}", c.latency);
     }
 

@@ -6,7 +6,7 @@
 //! once (from a generator, a production log, or another simulation) and
 //! replay it deterministically against any [`StorageDevice`].
 
-use crate::io::{IoCompletion, IoOp, IoRequest};
+use crate::io::{IoCompletion, IoError, IoOp, IoRequest};
 use crate::StorageDevice;
 use nvhsm_cache::AccessClass;
 use nvhsm_sim::{SimDuration, SimTime};
@@ -77,6 +77,7 @@ impl TraceRecord {
 /// let mut dev = SsdDevice::new(SsdConfig::small_test());
 /// let completions = trace.replay(&mut dev, SimTime::ZERO);
 /// assert_eq!(completions.len(), 1);
+/// assert!(completions[0].is_ok());
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct IoTrace {
@@ -111,11 +112,16 @@ impl IoTrace {
     }
 
     /// Replays the trace against `dev`, shifting arrivals by `base`;
-    /// returns the completions in trace order.
-    pub fn replay(&self, dev: &mut dyn StorageDevice, base: SimTime) -> Vec<IoCompletion> {
+    /// returns each request's outcome in trace order (an `Err` where an
+    /// installed fault hook failed it).
+    pub fn replay(
+        &self,
+        dev: &mut dyn StorageDevice,
+        base: SimTime,
+    ) -> Vec<Result<IoCompletion, IoError>> {
         self.records
             .iter()
-            .map(|r| dev.submit(&r.to_request(base)))
+            .map(|r| dev.try_submit(&r.to_request(base)))
             .collect()
     }
 
@@ -202,6 +208,7 @@ mod tests {
         let mut dev = SsdDevice::new(SsdConfig::small_test());
         dev.prefill(0..1000);
         let shifted = trace.replay(&mut dev, SimTime::from_secs(1));
-        assert!(shifted[0].done >= SimTime::from_secs(1));
+        let first = shifted[0].expect("no fault hook installed");
+        assert!(first.done >= SimTime::from_secs(1));
     }
 }

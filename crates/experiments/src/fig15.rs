@@ -32,7 +32,7 @@ fn hit_ratio_series(bypass: bool, devices: usize, n_requests: usize, seed: u64) 
         let mut t = SimTime::ZERO;
         for _ in 0..4 * hot_blocks {
             let req = IoRequest::normal(0, rng.below(hot_blocks), 1, IoOp::Read, t);
-            d.submit(&req);
+            d.try_submit(&req).expect("no fault hook installed");
             t += SimDuration::from_us(50);
         }
     }
@@ -50,11 +50,11 @@ fn hit_ratio_series(bypass: bool, devices: usize, n_requests: usize, seed: u64) 
         // speed — a 32-block burst per workload request, like a real bulk
         // copy racing a ~1k IOPS workload.
         let hot = IoRequest::normal(0, rng.below(hot_blocks), 1, IoOp::Read, t);
-        d.submit(&hot);
+        d.try_submit(&hot).expect("no fault hook installed");
         let span = d.logical_blocks() / 2;
         for _ in 0..32 {
             let mig = IoRequest::migrated(9, sweep_cursor % span, 1, IoOp::Read, t);
-            d.submit(&mig);
+            d.try_submit(&mig).expect("no fault hook installed");
             sweep_cursor += 1;
         }
         t += SimDuration::from_us(80);

@@ -21,7 +21,8 @@ fn run_one(tuning: MigrationTuning, benchmark: Benchmark, n: usize, seed: u64) -
     // Warm cache with the workload's hot set.
     let mut t = SimTime::ZERO;
     for _ in 0..3 * hot {
-        dev.submit(&IoRequest::normal(0, rng.below(hot), 1, IoOp::Read, t));
+        dev.try_submit(&IoRequest::normal(0, rng.below(hot), 1, IoOp::Read, t))
+            .expect("no fault hook installed");
         t += SimDuration::from_us(40);
     }
 
@@ -38,7 +39,9 @@ fn run_one(tuning: MigrationTuning, benchmark: Benchmark, n: usize, seed: u64) -
         } else {
             (i as u64 * 3) % hot
         };
-        let c = dev.submit(&IoRequest::normal(0, block, 1, IoOp::Read, t));
+        let c = dev
+            .try_submit(&IoRequest::normal(0, block, 1, IoOp::Read, t))
+            .expect("no fault hook installed");
         sum += c.latency.as_us_f64();
         count += 1.0;
 
@@ -47,11 +50,13 @@ fn run_one(tuning: MigrationTuning, benchmark: Benchmark, n: usize, seed: u64) -
         // destination-side writes at a sustainable ingest rate (~4k/s
         // against the ordered lane's ~12k/s ceiling).
         for _ in 0..2 {
-            dev.submit(&IoRequest::migrated(8, mig_out % span, 1, IoOp::Read, t));
+            dev.try_submit(&IoRequest::migrated(8, mig_out % span, 1, IoOp::Read, t))
+                .expect("no fault hook installed");
             mig_out += 1;
         }
         if i % 2 == 0 {
-            dev.submit(&IoRequest::migrated(9, mig_in % span, 1, IoOp::Write, t));
+            dev.try_submit(&IoRequest::migrated(9, mig_in % span, 1, IoOp::Write, t))
+                .expect("no fault hook installed");
             mig_in += 1;
         }
         t += SimDuration::from_us(120);

@@ -23,7 +23,7 @@ fn latency_at_oio(dev: &mut dyn StorageDevice, oio: usize, rounds: usize, rng: &
         let mut last = t;
         for _ in 0..oio {
             let req = IoRequest::normal(0, rng.below(span), 1, IoOp::Read, t);
-            let c = dev.submit(&req);
+            let c = dev.try_submit(&req).expect("no fault hook installed");
             sum += c.latency.as_us_f64();
             n += 1.0;
             last = last.max(c.done);
@@ -49,10 +49,12 @@ fn latency_at_randomness(
     let mut sum = 0.0;
     for _ in 0..n {
         let c = if rng.chance(rand_frac) {
-            dev.submit(&IoRequest::normal(1, rng.below(span), 1, IoOp::Read, t))
+            dev.try_submit(&IoRequest::normal(1, rng.below(span), 1, IoOp::Read, t))
+                .expect("no fault hook installed")
         } else {
             cursor += 1;
-            dev.submit(&IoRequest::normal(0, cursor % span, 1, IoOp::Read, t))
+            dev.try_submit(&IoRequest::normal(0, cursor % span, 1, IoOp::Read, t))
+                .expect("no fault hook installed")
         };
         sum += c.latency.as_us_f64();
         t += gap;
@@ -119,10 +121,12 @@ pub fn run(scale: Scale) -> ExperimentResult {
         let runs = (n / 3).max(50);
         for _ in 0..runs {
             let c = if rng.chance(f) {
-                dev.submit(&IoRequest::normal(1, rng.below(span), 1, IoOp::Read, t))
+                dev.try_submit(&IoRequest::normal(1, rng.below(span), 1, IoOp::Read, t))
+                    .expect("no fault hook installed")
             } else {
                 cursor += 1;
-                dev.submit(&IoRequest::normal(0, cursor % span, 1, IoOp::Read, t))
+                dev.try_submit(&IoRequest::normal(0, cursor % span, 1, IoOp::Read, t))
+                    .expect("no fault hook installed")
             };
             sum += c.latency.as_us_f64();
             t = c.done;

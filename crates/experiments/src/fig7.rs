@@ -81,8 +81,8 @@ fn run_panel(model: &PerfModel, initial_fill: f64, scale: Scale, seed: u64) -> P
             GenOp::Write => IoOp::Write,
         };
         let req = IoRequest::normal(0, gen.offset, gen.size_blocks, op, when);
-        noisy.submit(&req);
-        quiet.submit(&req);
+        noisy.try_submit(&req).expect("no fault hook installed");
+        quiet.try_submit(&req).expect("no fault hook installed");
         served += 1;
         if served > 4_000_000 {
             return panel; // safety net

@@ -22,12 +22,16 @@ fn probe(dev: &mut dyn StorageDevice, n: usize, seed: u64) -> (f64, f64) {
     for i in 0..n {
         let block = rng.below(probe_span);
         let c = if i % 2 == 0 {
-            let c = dev.submit(&IoRequest::normal(0, block, 1, IoOp::Read, t));
+            let c = dev
+                .try_submit(&IoRequest::normal(0, block, 1, IoOp::Read, t))
+                .expect("no fault hook installed");
             read_sum += c.latency.as_us_f64();
             reads += 1.0;
             c
         } else {
-            let c = dev.submit(&IoRequest::normal(0, block, 1, IoOp::Write, t));
+            let c = dev
+                .try_submit(&IoRequest::normal(0, block, 1, IoOp::Write, t))
+                .expect("no fault hook installed");
             write_sum += c.latency.as_us_f64();
             writes += 1.0;
             c

@@ -443,7 +443,9 @@ fn ssd_scenario(seed: u64) -> Vec<u64> {
     (0..500u64)
         .map(|i| {
             let op = if i % 4 == 0 { IoOp::Write } else { IoOp::Read };
-            let c = dev.submit(&IoRequest::normal(0, rng.below(span), 2, op, t));
+            let c = dev
+                .try_submit(&IoRequest::normal(0, rng.below(span), 2, op, t))
+                .expect("no fault hook installed");
             t += SimDuration::from_us(30);
             c.latency.as_us_f64().to_bits()
         })

@@ -1,35 +1,29 @@
 //! Deterministic time-ordered event queues.
 //!
-//! Two implementations share one contract — events come out in
+//! [`EventQueue`] is a hierarchical bucketed calendar queue (a 256-slot
+//! time wheel with a binary-heap overflow level). Events come out in
 //! non-decreasing time order and, within one timestamp, in FIFO order of
-//! insertion (the `(time, seq)` total order):
-//!
-//! * [`EventQueue`] — a hierarchical bucketed calendar queue (a 256-slot
-//!   time wheel with a binary-heap overflow level). This is the queue every
-//!   simulator uses: pops are O(1) amortized because the wheel turns
-//!   near-term events into array traffic, and [`EventQueue::drain_due`]
-//!   hands whole same-timestamp batches out in one call. Wheel entries
-//!   live in one arena (`pool`) threaded by intrusive per-slot lists with
-//!   a free list, so steady-state pushes and wheel turns are allocation
-//!   free — no per-slot buffers to malloc.
-//! * [`HeapEventQueue`] — the original `BinaryHeap` implementation, kept as
-//!   the ordering oracle for the equivalence property tests and as the
-//!   before-side of the `event_queue_*_heap` benches.
+//! insertion (the `(time, seq)` total order). Pops are O(1) amortized
+//! because the wheel turns near-term events into array traffic, and
+//! [`EventQueue::drain_due`] hands whole same-timestamp batches out in one
+//! call. Wheel entries live in one arena (`pool`) threaded by intrusive
+//! per-slot lists with a free list, so steady-state pushes and wheel turns
+//! are allocation free — no per-slot buffers to malloc.
 //!
 //! The determinism matters: every experiment in the workspace must be
-//! exactly reproducible from its seed, so the two queues are required (and
-//! property-tested) to produce byte-identical event streams for identical
-//! push/pop sequences.
+//! exactly reproducible from its seed, so the queue is property-tested to
+//! produce byte-identical event streams to the original `BinaryHeap`
+//! implementation (the test-only `heap` oracle) for identical push/pop
+//! sequences.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+#[cfg(test)]
 mod heap;
 #[cfg(test)]
 mod tests;
-
-pub use heap::HeapEventQueue;
 
 /// Wheel slots per rotation. With [`SHIFT`]-bit buckets the wheel spans
 /// `SLOTS << SHIFT` ns (~1.05 ms) before events spill to the overflow heap.
@@ -142,7 +136,8 @@ pub struct EventQueue<E> {
     /// can lie past the new horizon (the overwhelmingly common case).
     wheel_max_k: u64,
     /// Overflow level: entries whose bucket lies at or past
-    /// `base_k + SLOTS`. Same inverted ordering as [`HeapEventQueue`].
+    /// `base_k + SLOTS`. Same inverted ordering as the test-only heap
+    /// oracle.
     far: BinaryHeap<Entry<E>>,
     len: usize,
     seq: u64,

@@ -22,24 +22,29 @@ fn serve_with_tuning(tuning: MigrationTuning) -> (f64, f64) {
     let mut t = SimTime::ZERO;
     // Warm the cache.
     for _ in 0..4 * hot {
-        dev.submit(&IoRequest::normal(0, rng.below(hot), 1, IoOp::Read, t));
+        dev.try_submit(&IoRequest::normal(0, rng.below(hot), 1, IoOp::Read, t))
+            .expect("no fault hook installed");
         t += SimDuration::from_us(40);
     }
     dev.cache().hits(); // warm counters exist; reset via stats epoch
     let mut sum = 0.0;
     let n = 4_000;
     for sweep in 200_000u64..200_000 + n {
-        let c = dev.submit(&IoRequest::normal(0, rng.below(hot), 1, IoOp::Read, t));
+        let c = dev
+            .try_submit(&IoRequest::normal(0, rng.below(hot), 1, IoOp::Read, t))
+            .expect("no fault hook installed");
         sum += c.latency.as_us_f64();
         // Interleaved migration: read out + write in.
-        dev.submit(&IoRequest::migrated(8, sweep % span, 1, IoOp::Read, t));
-        dev.submit(&IoRequest::migrated(
+        dev.try_submit(&IoRequest::migrated(8, sweep % span, 1, IoOp::Read, t))
+            .expect("no fault hook installed");
+        dev.try_submit(&IoRequest::migrated(
             9,
             (sweep + span / 2) % span,
             1,
             IoOp::Write,
             t,
-        ));
+        ))
+        .expect("no fault hook installed");
         t += SimDuration::from_us(100);
     }
     (sum / n as f64, dev.cache().hit_ratio())

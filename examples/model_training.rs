@@ -45,7 +45,8 @@ fn main() {
             } else {
                 IoOp::Read
             };
-            dev.submit(&IoRequest::normal(0, block, 1, op, t));
+            dev.try_submit(&IoRequest::normal(0, block, 1, op, t))
+                .expect("no fault hook installed");
             t += SimDuration::from_us(400);
         }
         let stats = dev.stats_mut().take_epoch(t);

@@ -68,9 +68,8 @@ jq -n \
         notes: [
             "grid_16_jobs_all vs grid_16_jobs1 and the end_to_end speedup scale with `cores`; on a 1-core host both are ~1.0.",
             "single_scenario_quick_8sim_s covers 8 simulated seconds: ns_per_iter / 8000 = ns per simulated millisecond.",
-            "event_queue_pop_due_1k and event_queue_drain_due_1k run the calendar queue that ships; the matching *_heap rows run the retired BinaryHeap queue on the identical schedule — the before side of the pair (DESIGN.md section 13).",
-            "predict_memo_64x8 vs predict_uncached_64x8: the memo is size-gated (MEMO_MIN_LEAVES) and the per-kind tables are dense arrays, so the small pretrained trees take the direct-walk path; the pair now measures gate + dispatch overhead, not the retired always-memo regression.",
-            "predict_online_64x8 runs the same 64 probes through OnlineModels with a fitted residual correction installed (base walk + flattened constant-leaf correction walk); its perf budget holds it within 25% of predict_memo_64x8 (DESIGN.md section 16).",
+            "event_queue_pop_due_1k and event_queue_drain_due_1k run the calendar queue (DESIGN.md section 13); event_queue_peek_then_pop_1k is the peek-then-pop shape pop_due replaced.",
+            "predict_uncached_64x8 is the direct tree walk every static prediction is; predict_online_64x8 runs the same 64 probes through the online ModelSource with a fitted residual correction installed (base walk + flattened constant-leaf correction walk), and its perf budget bounds what the correction walk adds over predict_uncached_64x8, the static path (DESIGN.md section 16).",
             "bus_slowdown_lut_1k vs bus_slowdown_exact_1k and report_build vs report_build_deepcopy are before/after pairs for the kernel optimizations.",
             "datapath/local_bare matches management/one_virtual_second/BCA+lazy (same workload, seed 7): compare across commits to track the staged-pipeline refactor. local_instrumented adds fault gate + null trace + metrics; remote_mirror adds the stage-3 NIC hops.",
             "placement_scan_1k_sharded vs placement_scan_1k_flat run one arriving-VMDK placement over the same warm 1,000-node (3,000-store) serving fleet through the sharded engine (home shard + summary table) and the flat Manager (full Eq. 4 scan) — the O(shard) vs O(cluster) pair (DESIGN.md section 15). shard_summaries_3k_stores is the summary-table build the spill path pays.",

@@ -28,7 +28,7 @@ fn completions_never_precede_arrivals() {
                 IoOp::Read
             };
             let req = IoRequest::normal(0, rng.below(10_000), 1, op, t);
-            let c = dev.submit(&req);
+            let c = dev.try_submit(&req).expect("no fault hook installed");
             assert!(c.done >= t, "{}", dev.kind());
             assert_eq!(c.latency, c.done - t);
             t += SimDuration::from_us(100);
@@ -43,7 +43,7 @@ fn stats_count_served_requests() {
         dev.prefill(0..1_000);
         for i in 0..50u64 {
             let req = IoRequest::normal(0, i, 1, IoOp::Read, SimTime::from_us(i * 200));
-            dev.submit(&req);
+            dev.try_submit(&req).expect("no fault hook installed");
         }
         assert_eq!(dev.stats().lifetime_requests(), 50, "{}", dev.kind());
         let epoch = dev.stats_mut().take_epoch(SimTime::from_ms(100));
@@ -56,8 +56,10 @@ fn stats_count_served_requests() {
 fn migrated_requests_do_not_skew_workload_stats() {
     for mut dev in devices() {
         dev.prefill(0..1_000);
-        dev.submit(&IoRequest::normal(0, 0, 1, IoOp::Read, SimTime::ZERO));
-        dev.submit(&IoRequest::migrated(9, 1, 1, IoOp::Read, SimTime::ZERO));
+        dev.try_submit(&IoRequest::normal(0, 0, 1, IoOp::Read, SimTime::ZERO))
+            .expect("no fault hook installed");
+        dev.try_submit(&IoRequest::migrated(9, 1, 1, IoOp::Read, SimTime::ZERO))
+            .expect("no fault hook installed");
         let epoch = dev.stats_mut().take_epoch(SimTime::from_ms(1));
         assert_eq!(epoch.io_count(), 1, "{}", dev.kind());
         assert_eq!(epoch.migrated_ios, 1, "{}", dev.kind());
@@ -74,7 +76,7 @@ fn tier_latency_ordering_holds_for_random_reads() {
         let mut sum = 0.0;
         for _ in 0..100 {
             let req = IoRequest::normal(0, rng.below(100_000), 1, IoOp::Read, t);
-            let c = dev.submit(&req);
+            let c = dev.try_submit(&req).expect("no fault hook installed");
             sum += c.latency.as_us_f64();
             t = c.done;
         }

@@ -1,8 +1,8 @@
 //! Differential oracle for the online model source.
 //!
-//! `OnlineModels` promises that learning is *additive*: until a refit
-//! actually installs a residual correction, every prediction is the
-//! pretrained `DeviceModels` verbatim, and the simulation — placements,
+//! The online `ModelSource` promises that learning is *additive*: until
+//! a refit actually installs a residual correction, every prediction is
+//! the pretrained `DeviceModels` verbatim, and the simulation — placements,
 //! migrations, traces, metrics — is byte-identical to the static arm on
 //! the same scenario. These tests pin that promise end to end through
 //! the real drift experiment driver by configuring online sources that
