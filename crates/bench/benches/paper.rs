@@ -121,7 +121,9 @@ fn bench_fig14(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("simulate", format!("{policy:?}")),
             &policy,
-            |b, &policy| b.iter(|| black_box(simulate(&SchedConfig::table4(), &trace, policy))),
+            |b, &policy| {
+                b.iter(|| black_box(simulate(&SchedConfig::table4(), &trace, policy, &None)))
+            },
         );
     }
     group.finish();
@@ -155,8 +157,8 @@ fn bench_fig15(c: &mut Criterion) {
     group.finish();
 }
 
-/// DESIGN.md ablation: regression tree vs plain linear regression vs the
-/// OIO-only aggregation model (the paper's §4.4 argument).
+/// DESIGN.md ablation: regression tree vs plain linear regression (the
+/// paper's §4.4 argument).
 fn bench_model_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_ablation");
     let mut rng = SimRng::new(17);

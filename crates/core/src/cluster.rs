@@ -5,54 +5,14 @@
 //! in [`crate::net`]: copy rounds and mirrored writes traverse a modeled
 //! full-duplex link (configurable bandwidth, latency and in-flight window,
 //! FIFO contention), and the manager folds the hop cost into its placement
-//! and balancing arithmetic. This is a thin convenience wrapper over
-//! [`NodeSim::with_nodes`], adding per-link statistics to the report.
+//! and balancing arithmetic. The engine is
+//! [`crate::NodeSim::with_nodes`]; this module holds [`ClusterReport`], its
+//! report plus the per-link statistics of [`crate::NodeSim::link_stats`].
 
 use crate::net::NodeLinkStats;
-use crate::node::{NodeConfig, NodeReport, NodeSim, PlacementError};
-use crate::policy::PolicyKind;
-use crate::vmdk::VmdkId;
+use crate::node::NodeReport;
 use nvhsm_sim::SimDuration;
-use nvhsm_workload::WorkloadProfile;
 use serde::{Deserialize, Serialize};
-
-/// Cluster configuration: a node template plus the node count.
-#[derive(Debug, Clone)]
-pub struct ClusterConfig {
-    /// Per-node device/management configuration.
-    pub node: NodeConfig,
-    /// Number of server nodes (the paper uses 3).
-    pub nodes: usize,
-}
-
-impl ClusterConfig {
-    /// The paper's three-node arrangement at laptop scale.
-    pub fn small() -> Self {
-        ClusterConfig {
-            node: NodeConfig::small(),
-            nodes: 3,
-        }
-    }
-
-    /// Same cluster with a different policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.node.policy = policy;
-        self
-    }
-
-    /// Same cluster with placement/balancing sharded into `nodes`-node
-    /// shards (`0` = unsharded; see [`NodeConfig::shard_nodes`]).
-    pub fn with_shards(mut self, nodes: usize) -> Self {
-        self.node.shard_nodes = nodes;
-        self
-    }
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        Self::small()
-    }
-}
 
 /// Cluster run results (a [`NodeReport`] with per-node convenience views).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,120 +54,5 @@ impl ClusterReport {
                 }
             })
             .collect()
-    }
-}
-
-/// A three-node (configurable) cluster simulation.
-///
-/// # Examples
-///
-/// ```
-/// use nvhsm_core::{ClusterConfig, ClusterSim};
-/// use nvhsm_workload::hibench::{profile, Benchmark};
-///
-/// let mut sim = ClusterSim::new(ClusterConfig::small(), 7);
-/// sim.add_workload(profile(Benchmark::Bayes));
-/// let report = sim.run_secs(1);
-/// assert_eq!(report.nodes, 3);
-/// ```
-pub struct ClusterSim {
-    inner: NodeSim,
-    nodes: usize,
-}
-
-impl ClusterSim {
-    /// Builds the cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.nodes` is zero.
-    pub fn new(cfg: ClusterConfig, seed: u64) -> Self {
-        let nodes = cfg.nodes;
-        ClusterSim {
-            inner: NodeSim::with_nodes(cfg.node, nodes, seed),
-            nodes,
-        }
-    }
-
-    /// Adds a workload (space-greedy placement across all nodes).
-    pub fn add_workload(&mut self, profile: WorkloadProfile) -> VmdkId {
-        self.inner.add_workload(profile)
-    }
-
-    /// Adds a workload using the policy's initial placement. Rejected
-    /// admissions surface as a [`PlacementError`] and are counted in the
-    /// report.
-    pub fn add_workload_placed(
-        &mut self,
-        profile: WorkloadProfile,
-    ) -> Result<VmdkId, PlacementError> {
-        self.inner.add_workload_placed(profile)
-    }
-
-    /// Adds a workload whose compute runs on `home` node; Eq. 4 charges
-    /// remote candidates the interconnect hop.
-    pub fn add_workload_placed_from(
-        &mut self,
-        profile: WorkloadProfile,
-        home: usize,
-    ) -> Result<VmdkId, PlacementError> {
-        self.inner.add_workload_placed_from(profile, Some(home))
-    }
-
-    /// The wrapped engine.
-    pub fn inner_mut(&mut self) -> &mut NodeSim {
-        &mut self.inner
-    }
-
-    /// Runs for `secs` of virtual time.
-    pub fn run_secs(&mut self, secs: u64) -> ClusterReport {
-        self.run(SimDuration::from_secs(secs))
-    }
-
-    /// Runs for `span` of virtual time.
-    pub fn run(&mut self, span: SimDuration) -> ClusterReport {
-        ClusterReport {
-            report: self.inner.run(span),
-            nodes: self.nodes,
-            links: self.inner.link_stats(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nvhsm_workload::hibench::{all_profiles, profile, Benchmark};
-
-    fn quick() -> ClusterConfig {
-        let mut cfg = ClusterConfig::small();
-        cfg.node.train_requests = 30;
-        cfg
-    }
-
-    #[test]
-    fn cluster_spreads_workloads_across_nodes() {
-        let mut sim = ClusterSim::new(quick(), 3);
-        let ids: Vec<_> = all_profiles()
-            .into_iter()
-            .map(|p| sim.add_workload(p))
-            .collect();
-        let nodes: std::collections::HashSet<usize> = ids
-            .iter()
-            .filter_map(|&v| sim.inner_mut().placement_of(v))
-            .map(|ds| ds / 3)
-            .collect();
-        assert!(nodes.len() >= 2, "all VMDKs on one node: {nodes:?}");
-    }
-
-    #[test]
-    fn cluster_report_has_per_node_view() {
-        let mut sim = ClusterSim::new(quick(), 5);
-        sim.add_workload(profile(Benchmark::Sort));
-        sim.add_workload(profile(Benchmark::Bayes));
-        let report = sim.run_secs(1);
-        let per_node = report.per_node_mean_latency_us();
-        assert_eq!(per_node.len(), 3);
-        assert!(per_node.iter().any(|&l| l > 0.0));
     }
 }

@@ -26,8 +26,9 @@
 //!   [`manager::PolicyEngine`] seam.
 //! * [`net`] — the deterministic cluster interconnect: one full-duplex
 //!   link per node with FIFO contention and a bounded in-flight window.
-//! * [`cluster`] — [`ClusterSim`]: multiple nodes with cross-node
-//!   migrations over the [`net`] interconnect.
+//! * [`cluster`] — [`ClusterReport`]: the result of a multi-node run
+//!   ([`NodeSim::with_nodes`], cross-node migrations over the [`net`]
+//!   interconnect) with per-link and per-node views.
 //!
 //! # Examples
 //!
@@ -55,7 +56,7 @@ pub mod serving;
 pub mod training;
 pub mod vmdk;
 
-pub use cluster::{ClusterConfig, ClusterReport, ClusterSim};
+pub use cluster::ClusterReport;
 pub use datastore::{Datastore, DatastoreId};
 pub use manager::{
     shard_summaries, Manager, MigrationDecision, NetworkCosts, PolicyEngine, ShardSummary,

@@ -1,10 +1,11 @@
 use super::datapath::{route_request, Route};
 use super::*;
+use crate::cluster::ClusterReport;
 use crate::datastore::DatastoreId;
 use crate::manager::MigrationDecision;
 use crate::migration::{ActiveMigration, MigrationMode};
 use nvhsm_device::{IoOp, IoRequest};
-use nvhsm_workload::hibench::{profile, Benchmark};
+use nvhsm_workload::hibench::{all_profiles, profile, Benchmark};
 use nvhsm_workload::SpecProgram;
 
 fn quick_cfg(policy: PolicyKind) -> NodeConfig {
@@ -202,6 +203,32 @@ fn multi_node_runs() {
     let report = sim.run_secs(1);
     assert_eq!(report.devices.len(), 9);
     assert!(report.io_count > 0);
+
+    // Space-greedy admission spreads the HiBench suite over several nodes.
+    let mut sim = NodeSim::with_nodes(quick_cfg(PolicyKind::Bca), 3, 3);
+    let ids: Vec<_> = all_profiles()
+        .into_iter()
+        .map(|p| sim.add_workload(p))
+        .collect();
+    let nodes: std::collections::HashSet<usize> = ids
+        .iter()
+        .filter_map(|&v| sim.placement_of(v))
+        .map(|ds| ds / 3)
+        .collect();
+    assert!(nodes.len() >= 2, "all VMDKs on one node: {nodes:?}");
+
+    // The cluster report's per-node view covers every node.
+    let mut sim = NodeSim::with_nodes(quick_cfg(PolicyKind::Bca), 3, 5);
+    sim.add_workload(profile(Benchmark::Sort));
+    sim.add_workload(profile(Benchmark::Bayes));
+    let report = ClusterReport {
+        report: sim.run_secs(1),
+        nodes: 3,
+        links: sim.link_stats(),
+    };
+    let per_node = report.per_node_mean_latency_us();
+    assert_eq!(per_node.len(), 3);
+    assert!(per_node.iter().any(|&l| l > 0.0));
 }
 
 #[test]

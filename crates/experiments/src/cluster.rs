@@ -15,7 +15,7 @@
 use crate::harness::{ExperimentResult, Row, Scale};
 use crate::mix::{mix_profiles, MixObservation};
 use crate::obs::{ObsOptions, ScenarioObs, TRACE_RING_CAPACITY};
-use nvhsm_core::{ClusterConfig, ClusterReport, ClusterSim, NodeCacheConfig, NodeSim, PolicyKind};
+use nvhsm_core::{ClusterReport, NodeCacheConfig, NodeConfig, NodeSim, PolicyKind};
 use nvhsm_obs::{drain_ring_stats, shared, RingSink};
 use nvhsm_sim::SimDuration;
 
@@ -72,7 +72,7 @@ const WHALE_BLOCKS: u64 = 4_000_000;
 /// then three larger VMDKs arriving on node 0's SSD — re-tiering work whose
 /// best destination may sit across the wire. Returns the measured-window
 /// report and the window length (for link-utilization normalization).
-fn drive(sim: &mut NodeSim, _nodes: usize, scale: Scale) -> (nvhsm_core::NodeReport, SimDuration) {
+fn drive(sim: &mut NodeSim, scale: Scale) -> (nvhsm_core::NodeReport, SimDuration) {
     let profiles = mix_profiles(16, 0.85);
     let (initial, arrivals) = profiles.split_at(5);
     for p in initial {
@@ -100,14 +100,13 @@ fn drive(sim: &mut NodeSim, _nodes: usize, scale: Scale) -> (nvhsm_core::NodeRep
     (report, window)
 }
 
-fn cluster_config(params: ClusterParams, scale: Scale) -> ClusterConfig {
-    let mut cfg = ClusterConfig::small();
-    cfg.nodes = params.nodes;
-    cfg.node.policy = params.policy;
-    cfg.node.train_requests = scale.train_requests();
-    cfg.node.nic_bandwidth = params.bandwidth;
-    cfg.node.shard_nodes = params.shard_nodes;
-    cfg.node.cache = params.cache;
+fn node_config(params: ClusterParams, scale: Scale) -> NodeConfig {
+    let mut cfg = NodeConfig::small();
+    cfg.policy = params.policy;
+    cfg.train_requests = scale.train_requests();
+    cfg.nic_bandwidth = params.bandwidth;
+    cfg.shard_nodes = params.shard_nodes;
+    cfg.cache = params.cache;
     cfg
 }
 
@@ -124,7 +123,7 @@ pub fn run_cluster_observed(
     opts: ObsOptions,
 ) -> (ClusterReport, MixObservation, SimDuration) {
     let nodes = params.nodes;
-    let mut sim = ClusterSim::new(cluster_config(params, scale), params.seed);
+    let mut sim = NodeSim::with_nodes(node_config(params, scale), nodes, params.seed);
 
     let sink = if opts.trace {
         Some(shared(RingSink::new(TRACE_RING_CAPACITY)))
@@ -132,20 +131,20 @@ pub fn run_cluster_observed(
         None
     };
     if let Some(s) = &sink {
-        sim.inner_mut().set_trace_sink(Some(s.clone()));
+        sim.set_trace_sink(Some(s.clone()));
     }
     if opts.metrics {
-        sim.inner_mut().enable_metrics();
+        sim.enable_metrics();
     }
 
-    let (report, window) = drive(sim.inner_mut(), nodes, scale);
-    let links = sim.inner_mut().link_stats();
+    let (report, window) = drive(&mut sim, scale);
+    let links = sim.link_stats();
 
     let (events, dropped) = match &sink {
         Some(s) => drain_ring_stats(s),
         None => (Vec::new(), 0),
     };
-    let metrics = sim.inner_mut().take_metrics().map(|m| m.snapshot());
+    let metrics = sim.take_metrics().map(|m| m.snapshot());
     (
         ClusterReport {
             report,
@@ -257,7 +256,6 @@ pub fn run(scale: Scale) -> ExperimentResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvhsm_core::NodeConfig;
 
     #[test]
     fn one_node_cluster_is_byte_identical_to_single_node_path() {
@@ -274,7 +272,7 @@ mod tests {
         cfg.train_requests = Scale::Quick.train_requests();
         cfg.nic_bandwidth = INFINITE_BANDWIDTH;
         let mut plain = NodeSim::new(cfg, params.seed);
-        let (direct, _) = drive(&mut plain, 1, Scale::Quick);
+        let (direct, _) = drive(&mut plain, Scale::Quick);
 
         let a = serde_json::to_string(&via_cluster.report).unwrap();
         let b = serde_json::to_string(&direct).unwrap();

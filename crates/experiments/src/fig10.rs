@@ -7,7 +7,7 @@
 //! latency with and without the mechanism.
 
 use crate::harness::{ExperimentResult, Row, Scale};
-use nvhsm_flash::sched::{simulate_traced, SchedConfig, SchedPolicy, WriteClass, WriteRequest};
+use nvhsm_flash::sched::{simulate, SchedConfig, SchedPolicy, WriteClass, WriteRequest};
 use nvhsm_sim::{SimDuration, SimRng, SimTime};
 
 /// A persistent-heavy trace over few channels with a handful of migrated
@@ -57,11 +57,15 @@ pub fn run(scale: Scale) -> ExperimentResult {
         let trace = starvation_trace(n, share, 101);
         let pct = (share * 100.0) as u32;
         let both = crate::obs::with_sched_trace(format!("fig10/{pct}pct/both"), |sink| {
-            simulate_traced(&cfg, &trace, SchedPolicy::Both, sink)
-        });
+            simulate(&cfg, &trace, SchedPolicy::Both, sink)
+        })
+        .expect("the starvation trace is valid")
+        .0;
         let np = crate::obs::with_sched_trace(format!("fig10/{pct}pct/np_barrier"), |sink| {
-            simulate_traced(&cfg, &trace, SchedPolicy::BothNpBarrier, sink)
-        });
+            simulate(&cfg, &trace, SchedPolicy::BothNpBarrier, sink)
+        })
+        .expect("the starvation trace is valid")
+        .0;
         result.push_row(Row::new(
             format!("persistent_{:.0}pct", share * 100.0),
             vec![

@@ -3,7 +3,7 @@
 //! barrier-respecting baseline, per big-data benchmark.
 
 use crate::harness::{ExperimentResult, Row, Scale};
-use nvhsm_flash::sched::{simulate_traced, SchedConfig, SchedPolicy, WriteClass, WriteRequest};
+use nvhsm_flash::sched::{simulate, SchedConfig, SchedPolicy, WriteClass, WriteRequest};
 use nvhsm_sim::{SimRng, SimTime};
 use nvhsm_workload::hibench::Benchmark;
 
@@ -85,17 +85,19 @@ pub fn run(scale: Scale) -> ExperimentResult {
         let sink = obs_grid
             .is_some()
             .then(|| nvhsm_obs::shared(nvhsm_obs::RingSink::new(crate::obs::TRACE_RING_CAPACITY)));
-        let base = simulate_traced(cfg_ref, &trace, SchedPolicy::Baseline, &sink);
+        let stats = |p: SchedPolicy| -> nvhsm_flash::SchedStats {
+            simulate(cfg_ref, &trace, p, &sink)
+                .expect("benchmark traces are valid")
+                .0
+        };
+        let base = stats(SchedPolicy::Baseline);
         // The paper's metric is I/O performance across the served writes
         // (makespan is work-conserving-invariant, latency is not): the
         // request-weighted mean over persistent and migrated writes.
         let mean_lat = |s: &nvhsm_flash::SchedStats| -> f64 {
             0.85 * s.persistent_mean_us + 0.15 * s.migrated_mean_us
         };
-        let speedup = |p: SchedPolicy| -> f64 {
-            let s = simulate_traced(cfg_ref, &trace, p, &sink);
-            mean_lat(&base) / mean_lat(&s).max(1e-9)
-        };
+        let speedup = |p: SchedPolicy| -> f64 { mean_lat(&base) / mean_lat(&stats(p)).max(1e-9) };
         let row = [
             speedup(SchedPolicy::PolicyOne),
             speedup(SchedPolicy::PolicyTwo),

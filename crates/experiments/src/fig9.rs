@@ -3,9 +3,7 @@
 //! Fig. 9 (a) baseline, (b) Policy One, (c) Policy One + Two.
 
 use crate::harness::{ExperimentResult, Row, Scale};
-use nvhsm_flash::sched::{
-    simulate_detailed_traced, SchedConfig, SchedPolicy, WriteClass, WriteRequest,
-};
+use nvhsm_flash::sched::{simulate, SchedConfig, SchedPolicy, WriteClass, WriteRequest};
 use nvhsm_sim::{SimDuration, SimTime};
 
 /// The Fig. 9 request set: RA,RB,RE,RF persistent; RC,RD,RG,RH migrated;
@@ -56,7 +54,7 @@ pub fn run(_scale: Scale) -> ExperimentResult {
         ("c_both", SchedPolicy::Both),
     ] {
         let (_, completions) = crate::obs::with_sched_trace(format!("fig9/{label}"), |sink| {
-            simulate_detailed_traced(&cfg, &trace, policy, sink)
+            simulate(&cfg, &trace, policy, sink).expect("the Fig. 9 trace is valid")
         });
         result.push_row(Row::new(
             label,

@@ -15,9 +15,9 @@
 //!   vs. channel parallelism, *Policy One* (migrated writes ignore
 //!   barriers), *Policy Two* (persistent writes prioritized), and the
 //!   non-persistent barrier that bounds migrated-write delay (Fig. 9/10).
-//!   All four of its entry points funnel through one internal simulate
-//!   path, so its `BarrierDecision` trace taps fire identically however a
-//!   caller drives it.
+//!   Its one entry point, [`sched::simulate`], returns the statistics and
+//!   per-request completions, emits the barrier trace events when given a
+//!   sink, and rejects a malformed trace with a typed [`SchedError`].
 //!
 //! In the node simulation this crate sits entirely inside the *device
 //! service* stage of the shared data-path pipeline (`nvhsm-core`'s
@@ -41,12 +41,10 @@ pub mod chip;
 pub mod config;
 pub mod device;
 pub mod ftl;
-pub mod ftl_block;
 pub mod sched;
 
 pub use chip::Chip;
 pub use config::FlashConfig;
 pub use device::{FlashDevice, FlashOpKind};
 pub use ftl::{FtlError, PageFtl};
-pub use ftl_block::BlockFtl;
-pub use sched::{SchedConfig, SchedPolicy, SchedStats, WriteClass, WriteRequest};
+pub use sched::{SchedConfig, SchedError, SchedPolicy, SchedStats, WriteClass, WriteRequest};

@@ -153,62 +153,51 @@ struct Tracked {
     discarded: bool,
 }
 
-/// Simulates a write trace under `policy`, also returning each request's
-/// completion time (µs, trace order; `None` = discarded by the alias rule).
-///
-/// # Panics
-///
-/// Panics if any request addresses a channel outside the configuration or
-/// the trace is empty.
-pub fn simulate_detailed(
-    cfg: &SchedConfig,
-    requests: &[WriteRequest],
-    policy: SchedPolicy,
-) -> (SchedStats, Vec<Option<f64>>) {
-    simulate_inner(cfg, requests, policy, &None)
+/// Why a trace cannot be scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedError {
+    /// The trace holds no request.
+    EmptyTrace,
+    /// A request addresses a flash channel the configuration lacks.
+    ChannelOutOfRange {
+        /// The offending request's id.
+        id: u64,
+        /// The channel it addresses.
+        channel: usize,
+        /// Channels in the configuration.
+        channels: usize,
+    },
 }
 
-/// [`simulate_detailed`] with barrier-decision tracing (see
-/// [`simulate_traced`]).
-///
-/// # Panics
-///
-/// Panics if any request addresses a channel outside the configuration or
-/// the trace is empty.
-pub fn simulate_detailed_traced(
-    cfg: &SchedConfig,
-    requests: &[WriteRequest],
-    policy: SchedPolicy,
-    trace: &Option<SharedSink>,
-) -> (SchedStats, Vec<Option<f64>>) {
-    simulate_inner(cfg, requests, policy, trace)
+impl std::fmt::Display for SchedError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchedError::EmptyTrace => write!(f, "empty write trace"),
+            SchedError::ChannelOutOfRange {
+                id,
+                channel,
+                channels,
+            } => write!(f, "request {id} addresses channel {channel} of {channels}"),
+        }
+    }
 }
 
-/// Simulates a write trace under `policy`, emitting a `BarrierDispatch`
-/// event for every request handed to a chip server and a `BarrierDiscard`
-/// event for every migrated write killed by the Policy-Two alias rule.
-///
-/// With `trace` set to `None` this is exactly [`simulate`].
-///
-/// # Panics
-///
-/// Panics if any request addresses a channel outside the configuration or
-/// the trace is empty.
-pub fn simulate_traced(
-    cfg: &SchedConfig,
-    requests: &[WriteRequest],
-    policy: SchedPolicy,
-    trace: &Option<SharedSink>,
-) -> SchedStats {
-    simulate_inner(cfg, requests, policy, trace).0
-}
+impl std::error::Error for SchedError {}
 
-/// Simulates a write trace under `policy`.
+/// Simulates a write trace under `policy`, returning the trace's
+/// statistics and each request's completion time (µs, trace order; `None`
+/// = discarded by the alias rule).
 ///
-/// # Panics
+/// With a sink in `trace`, a `BarrierDispatch` event is emitted for every
+/// request handed to a chip server and a `BarrierDiscard` event for every
+/// migrated write killed by the Policy-Two alias rule; with `None` the
+/// schedule is the same and nothing is emitted.
 ///
-/// Panics if any request addresses a channel outside the configuration or
-/// the trace is empty.
+/// # Errors
+///
+/// [`SchedError::EmptyTrace`] for an empty trace, and
+/// [`SchedError::ChannelOutOfRange`] for the first request addressing a
+/// channel outside the configuration.
 ///
 /// # Examples
 ///
@@ -222,25 +211,28 @@ pub fn simulate_traced(
 ///     WriteRequest { id: 1, class: WriteClass::Migrated, channel: 1, epoch: 1,
 ///                    arrival: SimTime::ZERO, addr: 64 },
 /// ];
-/// let base = simulate(&SchedConfig::table4(), &reqs, SchedPolicy::Baseline);
-/// let p1 = simulate(&SchedConfig::table4(), &reqs, SchedPolicy::PolicyOne);
+/// let cfg = SchedConfig::table4();
+/// let (base, _) = simulate(&cfg, &reqs, SchedPolicy::Baseline, &None).unwrap();
+/// let (p1, done) = simulate(&cfg, &reqs, SchedPolicy::PolicyOne, &None).unwrap();
 /// assert!(p1.makespan <= base.makespan);
+/// assert_eq!(done.len(), 2);
 /// ```
-pub fn simulate(cfg: &SchedConfig, requests: &[WriteRequest], policy: SchedPolicy) -> SchedStats {
-    simulate_inner(cfg, requests, policy, &None).0
-}
-
-fn simulate_inner(
+pub fn simulate(
     cfg: &SchedConfig,
     requests: &[WriteRequest],
     policy: SchedPolicy,
     trace: &Option<SharedSink>,
-) -> (SchedStats, Vec<Option<f64>>) {
-    assert!(!requests.is_empty(), "empty trace");
-    assert!(
-        requests.iter().all(|r| r.channel < cfg.channels),
-        "request channel out of range"
-    );
+) -> Result<(SchedStats, Vec<Option<f64>>), SchedError> {
+    if requests.is_empty() {
+        return Err(SchedError::EmptyTrace);
+    }
+    if let Some(r) = requests.iter().find(|r| r.channel >= cfg.channels) {
+        return Err(SchedError::ChannelOutOfRange {
+            id: r.id,
+            channel: r.channel,
+            channels: cfg.channels,
+        });
+    }
 
     let n = requests.len();
     let mut tracked: Vec<Tracked> = requests
@@ -488,7 +480,7 @@ fn simulate_inner(
             }
         })
         .collect();
-    (
+    Ok((
         SchedStats {
             makespan,
             persistent_mean_us: p_stats.mean(),
@@ -503,13 +495,18 @@ fn simulate_inner(
             },
         },
         completions,
-    )
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use nvhsm_sim::SimRng;
+
+    /// Untraced statistics of a trace that is known to be valid.
+    pub(super) fn run(cfg: &SchedConfig, reqs: &[WriteRequest], policy: SchedPolicy) -> SchedStats {
+        simulate(cfg, reqs, policy, &None).expect("valid trace").0
+    }
 
     fn mixed_trace(
         n: usize,
@@ -575,8 +572,8 @@ mod tests {
             service: SimDuration::from_us(100),
             np_barrier_delay: SimDuration::from_ms(1),
         };
-        let base = simulate(&scfg, &reqs, SchedPolicy::Baseline);
-        let p1 = simulate(&scfg, &reqs, SchedPolicy::PolicyOne);
+        let base = run(&scfg, &reqs, SchedPolicy::Baseline);
+        let p1 = run(&scfg, &reqs, SchedPolicy::PolicyOne);
         // FC0 carries six writes, so its serial service time bounds the
         // makespan either way; the win is that migrated writes (RC, RG on
         // FC1; RD, RH on FC0) start early instead of waiting for barriers.
@@ -597,7 +594,7 @@ mod tests {
             SchedPolicy::Both,
             SchedPolicy::BothNpBarrier,
         ] {
-            let stats = simulate(&cfg(), &reqs, policy);
+            let stats = run(&cfg(), &reqs, policy);
             assert_eq!(
                 stats.completed + stats.discarded,
                 reqs.len() as u64,
@@ -609,8 +606,8 @@ mod tests {
     #[test]
     fn policy_one_beats_baseline_on_mixed_traffic() {
         let reqs = mixed_trace(600, 0.5, 16, 6, 13);
-        let base = simulate(&cfg(), &reqs, SchedPolicy::Baseline);
-        let p1 = simulate(&cfg(), &reqs, SchedPolicy::PolicyOne);
+        let base = run(&cfg(), &reqs, SchedPolicy::Baseline);
+        let p1 = run(&cfg(), &reqs, SchedPolicy::PolicyOne);
         assert!(
             p1.makespan < base.makespan,
             "P1 {} !< base {}",
@@ -622,9 +619,9 @@ mod tests {
     #[test]
     fn both_policies_at_least_as_good_as_each_alone() {
         let reqs = mixed_trace(600, 0.5, 16, 6, 17);
-        let p1 = simulate(&cfg(), &reqs, SchedPolicy::PolicyOne);
-        let p2 = simulate(&cfg(), &reqs, SchedPolicy::PolicyTwo);
-        let both = simulate(&cfg(), &reqs, SchedPolicy::Both);
+        let p1 = run(&cfg(), &reqs, SchedPolicy::PolicyOne);
+        let p2 = run(&cfg(), &reqs, SchedPolicy::PolicyTwo);
+        let both = run(&cfg(), &reqs, SchedPolicy::Both);
         assert!(both.makespan <= p1.makespan.max(p2.makespan) + SimDuration::from_ms(1));
     }
 
@@ -633,8 +630,8 @@ mod tests {
         // Large epochs relative to server count create queueing, which is
         // where persistent-first priority pays off.
         let reqs = mixed_trace(1200, 0.5, 4, 200, 19);
-        let base = simulate(&cfg(), &reqs, SchedPolicy::Baseline);
-        let p2 = simulate(&cfg(), &reqs, SchedPolicy::PolicyTwo);
+        let base = run(&cfg(), &reqs, SchedPolicy::Baseline);
+        let p2 = run(&cfg(), &reqs, SchedPolicy::PolicyTwo);
         assert!(
             p2.persistent_mean_us < base.persistent_mean_us,
             "P2 persistent {} !< base {}",
@@ -658,8 +655,8 @@ mod tests {
             service: SimDuration::from_us(200),
             np_barrier_delay: SimDuration::from_ms(1),
         };
-        let both = simulate(&scfg, &reqs, SchedPolicy::Both);
-        let np = simulate(&scfg, &reqs, SchedPolicy::BothNpBarrier);
+        let both = run(&scfg, &reqs, SchedPolicy::Both);
+        let np = run(&scfg, &reqs, SchedPolicy::BothNpBarrier);
         assert!(
             np.migrated_max_us < both.migrated_max_us,
             "np {} !< both {}",
@@ -705,7 +702,7 @@ mod tests {
             service: SimDuration::from_us(100),
             np_barrier_delay: SimDuration::from_secs(1),
         };
-        let stats = simulate(&scfg, &reqs, SchedPolicy::PolicyTwo);
+        let stats = run(&scfg, &reqs, SchedPolicy::PolicyTwo);
         assert_eq!(stats.discarded, 1, "{stats:?}");
     }
 
@@ -719,14 +716,36 @@ mod tests {
             arrival: SimTime::ZERO,
             addr: 0,
         }];
-        let stats = simulate(&cfg(), &reqs, SchedPolicy::Baseline);
+        let stats = run(&cfg(), &reqs, SchedPolicy::Baseline);
         assert_eq!(stats.makespan, cfg().service);
         assert_eq!(stats.completed, 1);
+    }
+
+    #[test]
+    fn empty_trace_is_a_typed_error() {
+        let err = simulate(&cfg(), &[], SchedPolicy::Baseline, &None).unwrap_err();
+        assert_eq!(err, SchedError::EmptyTrace);
+    }
+
+    #[test]
+    fn out_of_range_channel_is_a_typed_error() {
+        let mut reqs = mixed_trace(4, 0.5, 16, 2, 29);
+        reqs[2].channel = 16;
+        let err = simulate(&cfg(), &reqs, SchedPolicy::Both, &None).unwrap_err();
+        assert_eq!(
+            err,
+            SchedError::ChannelOutOfRange {
+                id: 2,
+                channel: 16,
+                channels: 16
+            }
+        );
     }
 }
 
 #[cfg(test)]
 mod prop_tests {
+    use super::tests::run;
     use super::*;
     use proptest::prelude::*;
 
@@ -784,7 +803,7 @@ mod prop_tests {
                 SchedPolicy::Both,
                 SchedPolicy::BothNpBarrier,
             ] {
-                let stats = simulate(&cfg, &trace, policy);
+                let stats = run(&cfg, &trace, policy);
                 prop_assert_eq!(
                     stats.completed + stats.discarded,
                     trace.len() as u64,
@@ -809,8 +828,8 @@ mod prop_tests {
                 service: SimDuration::from_us(100),
                 np_barrier_delay: SimDuration::from_ms(1),
             };
-            let base = simulate(&cfg, &trace, SchedPolicy::Baseline);
-            let p1 = simulate(&cfg, &trace, SchedPolicy::PolicyOne);
+            let base = run(&cfg, &trace, SchedPolicy::Baseline);
+            let p1 = run(&cfg, &trace, SchedPolicy::PolicyOne);
             prop_assert!(p1.migrated_mean_us <= base.migrated_mean_us + 1e-6);
         }
     }

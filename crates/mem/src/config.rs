@@ -46,10 +46,6 @@ pub struct DramConfig {
     /// Rows refreshed per refresh interval burst (8192 rows per 64 ms for
     /// DDR3, i.e. one refresh command every tREFI = 7.8125 µs).
     pub refresh_rows: u64,
-    /// Transaction-queue depth reserved for DRAM DIMM requests.
-    pub dram_queue_depth: usize,
-    /// Transaction-queue depth reserved for NVDIMM transfers.
-    pub nvdimm_queue_depth: usize,
 }
 
 impl DramConfig {
@@ -69,8 +65,6 @@ impl DramConfig {
             refresh_period: SimDuration::from_ms(64),
             refresh_row_time: SimDuration::from_ns(110),
             refresh_rows: 8192,
-            dram_queue_depth: 128,
-            nvdimm_queue_depth: 128,
         }
     }
 
@@ -139,8 +133,6 @@ mod tests {
         assert_eq!(cfg.rw_to_pre.as_ns(), 19); // 18.75 rounded
         assert_eq!(cfg.refresh_period, SimDuration::from_ms(64));
         assert_eq!(cfg.refresh_row_time.as_ns(), 110);
-        assert_eq!(cfg.dram_queue_depth, 128);
-        assert_eq!(cfg.nvdimm_queue_depth, 128);
         cfg.validate().unwrap();
     }
 

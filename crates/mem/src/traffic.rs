@@ -61,30 +61,9 @@ impl PoissonTraffic {
         self
     }
 
-    /// Overrides the memory footprint in bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is smaller than one line.
-    pub fn with_footprint(mut self, bytes: u64) -> Self {
-        assert!(bytes >= 64, "footprint below one line");
-        self.footprint_lines = bytes / 64;
-        self
-    }
-
     /// Current request rate in requests per second.
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Changes the request rate (e.g. between program phases).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not positive and finite.
-    pub fn set_rate(&mut self, rate: f64) {
-        assert!(rate > 0.0 && rate.is_finite(), "invalid traffic rate");
-        self.rate = rate;
     }
 
     /// Draws the next request and its arrival time (strictly increasing).

@@ -28,21 +28,17 @@
 //! assert!((pred - 110.0).abs() < 15.0);
 //! ```
 
-pub mod aggregation;
 pub mod contention;
 pub mod features;
 pub mod linreg;
 pub mod metrics;
 pub mod regtree;
-pub mod validation;
 
-pub use aggregation::AggregationModel;
 pub use contention::ContentionEstimator;
 pub use features::{Dataset, Features, Sample, FEATURE_NAMES, NUM_FEATURES};
 pub use linreg::LinearRegression;
-pub use metrics::{mape, r2, rmse};
+pub use metrics::{mape, rmse};
 pub use regtree::{FlatTree, LeafModel, RegTreeConfig, RegressionTree};
-pub use validation::{cross_validate, feature_importance, CrossValidation};
 
 use serde::{Deserialize, Serialize};
 

@@ -42,25 +42,6 @@ pub fn mape(pairs: impl Iterator<Item = (f64, f64)>) -> f64 {
     }
 }
 
-/// Coefficient of determination R²; 1 for a perfect fit, can be negative.
-pub fn r2(pairs: &[(f64, f64)]) -> f64 {
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let mean = pairs.iter().map(|p| p.1).sum::<f64>() / pairs.len() as f64;
-    let ss_tot: f64 = pairs.iter().map(|p| (p.1 - mean).powi(2)).sum();
-    let ss_res: f64 = pairs.iter().map(|p| (p.0 - p.1).powi(2)).sum();
-    if ss_tot == 0.0 {
-        if ss_res == 0.0 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        1.0 - ss_res / ss_tot
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,13 +58,5 @@ mod tests {
         let e = mape([(1.0, 0.0), (110.0, 100.0)].into_iter());
         assert!((e - 0.1).abs() < 1e-12);
         assert_eq!(mape(std::iter::empty()), 0.0);
-    }
-
-    #[test]
-    fn r2_perfect_and_mean_predictor() {
-        assert!((r2(&[(1.0, 1.0), (2.0, 2.0)]) - 1.0).abs() < 1e-12);
-        // Predicting the mean gives R² = 0.
-        let pairs = [(1.5, 1.0), (1.5, 2.0)];
-        assert!(r2(&pairs).abs() < 1e-12);
     }
 }

@@ -31,7 +31,7 @@ mod event;
 mod metrics;
 mod sink;
 
-pub use event::{FaultKind, MigrationPhase, TraceEvent};
+pub use event::{FaultKind, TraceEvent};
 pub use metrics::{
     CounterEntry, GaugeEntry, HistogramEntry, MetricKey, MetricsRegistry, MetricsReport,
     MetricsSnapshot, QuantileSummary,

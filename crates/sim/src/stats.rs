@@ -51,11 +51,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Adds a duration sample in microseconds.
-    pub fn add_duration_us(&mut self, d: SimDuration) {
-        self.add(d.as_us_f64());
-    }
-
     /// Number of samples seen.
     pub fn count(&self) -> u64 {
         self.count
@@ -178,11 +173,6 @@ impl Histogram {
             Some(i) => self.counts[i] += 1,
             None => self.underflow += 1,
         }
-    }
-
-    /// Adds a duration sample in nanoseconds.
-    pub fn add_duration(&mut self, d: SimDuration) {
-        self.add(d.as_ns() as f64);
     }
 
     /// Number of samples.

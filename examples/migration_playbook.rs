@@ -108,7 +108,6 @@ fn main() {
         })
         .collect();
     let cfg = SchedConfig::table4();
-    let base = simulate(&cfg, &trace, SchedPolicy::Baseline);
     println!(
         "{:<16} {:>14} {:>14} {:>12}",
         "policy", "persist (µs)", "migrated (µs)", "makespan(ms)"
@@ -120,7 +119,7 @@ fn main() {
         SchedPolicy::Both,
         SchedPolicy::BothNpBarrier,
     ] {
-        let s = simulate(&cfg, &trace, policy);
+        let (s, _) = simulate(&cfg, &trace, policy, &None).expect("the playbook trace is valid");
         println!(
             "{:<16} {:>14.1} {:>14.1} {:>12.2}",
             format!("{policy:?}"),
@@ -129,5 +128,4 @@ fn main() {
             s.makespan.as_ms_f64(),
         );
     }
-    let _ = base;
 }
